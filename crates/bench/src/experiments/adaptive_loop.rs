@@ -66,6 +66,8 @@ pub fn run(opts: &ExperimentOptions) {
     let mut aliased_probe_waste = 0u64;
     let mut early_terminated = 0usize;
     let mut aliased_regions = 0usize;
+    let mut growths = 0u64;
+    let mut evaluations = 0u64;
     for &prefix in &prefixes {
         let outcome = adaptive_scan(
             seeds_by_prefix[&prefix].iter().copied(),
@@ -78,6 +80,8 @@ pub fn run(opts: &ExperimentOptions) {
         adaptive_probes += outcome.probes_used;
         early_terminated += outcome.early_terminated();
         aliased_regions += outcome.aliased_regions();
+        growths += outcome.growths;
+        evaluations += outcome.evaluations;
         aliased_probe_waste += outcome
             .regions
             .iter()
@@ -112,6 +116,11 @@ pub fn run(opts: &ExperimentOptions) {
     println!(
         "adaptive: {early_terminated} regions early-terminated, {aliased_regions} regions \
          declared aliased mid-scan"
+    );
+    println!(
+        "adaptive: {} growth evaluations for {} growths",
+        group_digits(evaluations),
+        group_digits(growths),
     );
     println!(
         "probe efficiency: offline {} hits/Mprobe vs adaptive {} hits/Mprobe",

@@ -84,6 +84,12 @@ pub struct GrowthEvaluation {
     /// seed (no candidate exists) — the algorithm's second termination
     /// condition.
     pub growth: Option<Growth>,
+    /// The candidates' nybble Hamming distance from the cluster's range
+    /// (the minimum over seeds outside it); `0` when there is no
+    /// candidate. Every address of every candidate growth lies within
+    /// this distance of the range, so a seed added farther away changes
+    /// neither the candidates nor any growth's seed count.
+    pub distance: u32,
     /// Number of candidate seeds at minimum Hamming distance.
     pub candidates: u64,
     /// Number of distinct expanded ranges actually evaluated (candidates
@@ -147,6 +153,7 @@ pub fn evaluate_growth_bounded(
     else {
         return GrowthEvaluation {
             growth: None,
+            distance: 0,
             candidates: 0,
             ranges_evaluated: 0,
         };
@@ -195,6 +202,7 @@ pub fn evaluate_growth_bounded(
     }
     GrowthEvaluation {
         growth: best,
+        distance: cands.distance,
         candidates: candidate_count,
         ranges_evaluated: cands.groups.len() as u64,
     }
@@ -216,9 +224,10 @@ pub fn evaluate_growth_unfused(
     mode: ClusterMode,
     mut tie_break: impl FnMut() -> u64,
 ) -> GrowthEvaluation {
-    let Some((_dist, candidates)) = tree.nearest_outside(&cluster.range) else {
+    let Some((distance, candidates)) = tree.nearest_outside(&cluster.range) else {
         return GrowthEvaluation {
             growth: None,
+            distance: 0,
             candidates: 0,
             ranges_evaluated: 0,
         };
@@ -271,6 +280,7 @@ pub fn evaluate_growth_unfused(
     }
     GrowthEvaluation {
         growth: best,
+        distance,
         candidates: candidate_count,
         ranges_evaluated,
     }

@@ -40,8 +40,8 @@ fn main() {
     ranked.truncate(8);
 
     println!(
-        "{:<22} {:>6}  {:>22}  {:>26}",
-        "routed prefix", "seeds", "offline hits/probes", "adaptive hits/probes"
+        "{:<22} {:>6}  {:>22}  {:>26}  {:>11}",
+        "routed prefix", "seeds", "offline hits/probes", "adaptive hits/probes", "evaluations"
     );
     for (prefix, prefix_seeds) in ranked {
         // Offline: generate all targets, scan them.
@@ -66,19 +66,21 @@ fn main() {
             .count();
         let flag = if aliased > 0 { " [aliasing dodged]" } else { "" };
         println!(
-            "{:<22} {:>6}  {:>10} / {:>9}  {:>10} / {:>9}{}",
+            "{:<22} {:>6}  {:>10} / {:>9}  {:>10} / {:>9}  {:>11}{}",
             prefix.to_string(),
             prefix_seeds.len(),
             group_digits(offline.hits.len() as u64),
             group_digits(offline.probes),
             group_digits(adaptive.hits.len() as u64),
             group_digits(adaptive.probes_used),
+            group_digits(adaptive.evaluations),
             flag,
         );
     }
     println!(
         "\nNote: offline hit counts include aliased mirages (they respond but are\n\
          not distinct hosts); the adaptive loop excludes them on the fly and\n\
-         refunds the unspent probes to other regions."
+         refunds the unspent probes to other regions. `evaluations` counts the\n\
+         loop's cluster growth evaluations."
     );
 }
