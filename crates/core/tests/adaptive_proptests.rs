@@ -33,7 +33,11 @@ fn arb_world() -> impl Strategy<Value = (Toy, Vec<NybbleAddr>)> {
                 })
                 .collect();
             let aliased = with_alias.then(|| "2001:db8:0:1::/96".parse().unwrap());
-            let seeds: Vec<NybbleAddr> = hosts.iter().copied().take(hosts.len() / 2 + 1).collect();
+            // Seeds from the sorted hosts: `HashSet` order varies per
+            // process, which would make a failing case unreplayable.
+            let mut sorted: Vec<NybbleAddr> = hosts.iter().copied().collect();
+            sorted.sort_unstable();
+            let seeds: Vec<NybbleAddr> = sorted.into_iter().take(hosts.len() / 2 + 1).collect();
             (Toy { hosts, aliased }, seeds)
         })
 }
