@@ -5,17 +5,22 @@
 //! The module has two floors:
 //!
 //! * **Transport** — [`HttpServer`] binds a `TcpListener` and serves any
-//!   [`HttpHandler`]. A dedicated accept thread polls a non-blocking
-//!   listener and feeds a bounded connection queue drained by a small
-//!   pool of handler threads, so one wedged or slow-loris client costs
-//!   at most one pool slot — never the whole server (`/healthz` keeps
-//!   answering while a stalled connection is held open). Every
-//!   connection gets an end-to-end read deadline on top of the per-read
-//!   socket timeout. Requests are parsed incrementally (each buffer
-//!   byte is scanned once, and GET-family requests are answered from
-//!   the request line alone); responses are either [`Body::Full`]
-//!   (`Content-Length`) or [`Body::Chunked`] (`Transfer-Encoding:
-//!   chunked`), the latter driving incremental target streaming.
+//!   [`HttpHandler`]. A dedicated accept thread blocks in `accept()` and
+//!   feeds a bounded connection queue drained by a small pool of handler
+//!   threads, so a connection is read as soon as it arrives, and one
+//!   wedged or slow-loris client costs at most one pool slot — never the
+//!   whole server (`/healthz` keeps answering while a stalled connection
+//!   is held open). Shutdown sets the stop flag under the queue lock,
+//!   so no idle worker misses it, and wakes the accept thread with a
+//!   connection of its own. A panicking handler or chunk producer costs
+//!   only its own connection (a `500` or a truncated stream), never a
+//!   pool thread. Every connection gets an end-to-end read deadline on
+//!   top of the per-read socket timeout. Requests are parsed
+//!   incrementally (each buffer byte is scanned once, and GET-family
+//!   requests are answered from the request line alone); responses are
+//!   either [`Body::Full`] (`Content-Length`) or [`Body::Chunked`]
+//!   (`Transfer-Encoding: chunked`), the latter driving incremental
+//!   target streaming.
 //! * **Observer** — [`Observer`] serves the classic read-only views
 //!   from a set of [`ObserverSources`]:
 //!   * `GET /healthz` — `200 text/plain "ok"` while the observer lives.
@@ -36,10 +41,11 @@
 
 use std::collections::VecDeque;
 use std::io::{Read as _, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::events::EventBus;
@@ -64,8 +70,13 @@ const IO_TIMEOUT: Duration = Duration::from_secs(2);
 /// only this long, no matter how steadily it feeds the per-read timeout.
 const REQUEST_DEADLINE: Duration = Duration::from_secs(10);
 
-/// Accept-poll interval while idle.
-const POLL_INTERVAL: Duration = Duration::from_millis(15);
+/// Pause after a failed `accept()` (e.g. EMFILE: out of descriptors)
+/// before retrying, so a persistent error cannot spin the accept thread.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(15);
+
+/// How long shutdown's wake-up connection may take before the accept
+/// thread is left detached instead of joined.
+const WAKE_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// Handler threads for the read-only observer (and the default for
 /// [`HttpServer::bind`] callers that pass `0`): enough that a couple of
@@ -250,6 +261,9 @@ pub trait HttpHandler: Send + Sync {
 // ---------------------------------------------------------------------------
 
 /// Accept queue shared between the accept thread and the handler pool.
+/// The server's stop flag is set and notified under `pending`'s lock,
+/// and both threads read it under that lock, so neither a worker about
+/// to wait nor the accept thread just woken can miss it.
 struct ConnQueue {
     pending: Mutex<VecDeque<TcpStream>>,
     ready: Condvar,
@@ -286,43 +300,41 @@ impl HttpServer {
         threads: usize,
     ) -> std::io::Result<HttpServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let queue = Arc::new(ConnQueue {
-            pending: Mutex::new(VecDeque::new()),
-            ready: Condvar::new(),
-        });
         let threads = if threads == 0 {
             DEFAULT_HANDLER_THREADS
         } else {
             threads.min(16)
         };
-        let mut workers = Vec::with_capacity(threads);
+        // Built before any thread starts, so a failed spawn drops it and
+        // stops and joins the threads already running.
+        let mut server = HttpServer {
+            addr: listener.local_addr()?,
+            stop: Arc::new(AtomicBool::new(false)),
+            queue: Arc::new(ConnQueue {
+                pending: Mutex::new(VecDeque::new()),
+                ready: Condvar::new(),
+            }),
+            accept: None,
+            workers: Vec::with_capacity(threads),
+        };
         for i in 0..threads {
-            let queue = Arc::clone(&queue);
-            let stop = Arc::clone(&stop);
+            let queue = Arc::clone(&server.queue);
+            let stop = Arc::clone(&server.stop);
             let handler = Arc::clone(&handler);
-            workers.push(
+            server.workers.push(
                 std::thread::Builder::new()
                     .name(format!("sixgen-http-{i}"))
                     .spawn(move || worker_loop(&queue, &*handler, &stop))?,
             );
         }
-        let accept = {
-            let queue = Arc::clone(&queue);
-            let stop = Arc::clone(&stop);
+        let queue = Arc::clone(&server.queue);
+        let stop = Arc::clone(&server.stop);
+        server.accept = Some(
             std::thread::Builder::new()
                 .name("sixgen-http-accept".into())
-                .spawn(move || accept_loop(listener, &queue, &stop))?
-        };
-        Ok(HttpServer {
-            addr,
-            stop,
-            queue,
-            accept: Some(accept),
-            workers,
-        })
+                .spawn(move || accept_loop(listener, &queue, &stop))?,
+        );
+        Ok(server)
     }
 
     /// The bound address (useful with port 0).
@@ -331,16 +343,32 @@ impl HttpServer {
     }
 
     /// Stops accepting, aborts in-flight chunked streams, and joins
-    /// every thread.
+    /// every thread. Connections already queued are still answered. An
+    /// accept thread that cannot be woken within a short timeout is
+    /// left detached rather than hang the caller.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
 
     fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        self.queue.ready.notify_all();
+        {
+            // The queue holds no invariant a panic could break, so a
+            // poisoned lock is still safe to use here (and `Drop` must
+            // not panic).
+            let _pending = self
+                .queue
+                .pending
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            self.stop.store(true, Ordering::Relaxed);
+            self.queue.ready.notify_all();
+        }
         if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
+            // Without a wake-up the accept thread would block until the
+            // next client connects; joining it then could hang.
+            if wake_acceptor(self.addr) {
+                let _ = handle.join();
+            }
         }
         for handle in self.workers.drain(..) {
             let _ = handle.join();
@@ -354,24 +382,43 @@ impl Drop for HttpServer {
     }
 }
 
+/// Connects to the server's own port so its accept thread returns from
+/// `accept()` and sees the stop flag. An unspecified bind address
+/// (`0.0.0.0`, `[::]`) is reached through loopback of the same family.
+/// False when the connection fails within [`WAKE_TIMEOUT`].
+fn wake_acceptor(addr: SocketAddr) -> bool {
+    let mut target = addr;
+    if addr.ip().is_unspecified() {
+        target.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    TcpStream::connect_timeout(&target, WAKE_TIMEOUT).is_ok()
+}
+
 fn accept_loop(listener: TcpListener, queue: &ConnQueue, stop: &AtomicBool) {
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        let mut pending = queue.pending.lock().expect("accept queue poisoned");
+        if stop.load(Ordering::Relaxed) {
+            // Shutdown's wake-up connection, or a client racing it.
+            return;
+        }
+        match accepted {
+            Ok((stream, _)) if pending.len() >= QUEUE_CAP => {
+                drop(pending);
+                reject_overloaded(stream);
+            }
             Ok((stream, _)) => {
-                let mut pending = queue.pending.lock().expect("accept queue poisoned");
-                if pending.len() >= QUEUE_CAP {
-                    drop(pending);
-                    reject_overloaded(stream);
-                } else {
-                    pending.push_back(stream);
-                    drop(pending);
-                    queue.ready.notify_one();
-                }
+                pending.push_back(stream);
+                drop(pending);
+                queue.ready.notify_one();
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
+            Err(_) => {
+                drop(pending);
+                std::thread::sleep(ACCEPT_ERROR_BACKOFF);
             }
-            Err(_) => std::thread::sleep(POLL_INTERVAL),
         }
     }
 }
@@ -380,7 +427,6 @@ fn accept_loop(listener: TcpListener, queue: &ConnQueue, stop: &AtomicBool) {
 /// fresh, so the write lands in empty kernel buffers and cannot stall
 /// the accept thread meaningfully.
 fn reject_overloaded(mut stream: TcpStream) {
-    let _ = stream.set_nonblocking(false);
     let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
     let _ = stream.write_all(
         b"HTTP/1.1 503 Service Unavailable\r\nContent-Type: text/plain; charset=utf-8\r\n\
@@ -394,42 +440,40 @@ fn worker_loop(queue: &ConnQueue, handler: &dyn HttpHandler, stop: &AtomicBool) 
             let mut pending = queue.pending.lock().expect("accept queue poisoned");
             loop {
                 if let Some(stream) = pending.pop_front() {
-                    break Some(stream);
+                    break stream;
                 }
                 if stop.load(Ordering::Relaxed) {
-                    break None;
+                    return;
                 }
-                let (guard, _) = queue
-                    .ready
-                    .wait_timeout(pending, Duration::from_millis(50))
-                    .expect("accept queue poisoned");
-                pending = guard;
+                pending = queue.ready.wait(pending).expect("accept queue poisoned");
             }
         };
-        match stream {
-            Some(stream) => handle_connection(stream, handler, stop),
-            None => return,
-        }
+        handle_connection(stream, handler, stop);
     }
 }
 
 /// Reads one request and writes one response. All IO errors are
-/// swallowed: a broken client connection must never disturb the server
-/// (or an observed run).
+/// swallowed, and panics are contained: a broken client connection or a
+/// panicking handler must never disturb the server (or an observed run),
+/// nor cost it a pool thread.
 fn handle_connection(mut stream: TcpStream, handler: &dyn HttpHandler, stop: &AtomicBool) {
-    let _ = stream.set_nonblocking(false);
     let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-    let request = match read_request(&mut stream) {
-        Ok(request) => request,
-        Err(error) => {
-            if let Some((status, message)) = error.response() {
-                let _ = write_response(&mut stream, Response::text(status, message), stop);
-            }
-            return;
+    let response = match read_request(&mut stream) {
+        Ok(request) => {
+            catch_unwind(AssertUnwindSafe(|| handler.handle(&request))).unwrap_or_else(|_| {
+                Response::text("500 Internal Server Error", "internal server error\n")
+            })
         }
+        Err(error) => match error.response() {
+            Some((status, message)) => Response::text(status, message),
+            None => return,
+        },
     };
-    let response = handler.handle(&request);
-    let _ = write_response(&mut stream, response, stop);
+    // A chunk producer that panics mid-stream ends its connection
+    // without the terminal frame, so the client sees a truncated stream.
+    let _ = catch_unwind(AssertUnwindSafe(|| {
+        write_response(&mut stream, response, stop)
+    }));
 }
 
 fn write_response(
@@ -1204,6 +1248,166 @@ mod tests {
         let health = get(addr, "GET /healthz HTTP/1.1\r\n\r\n");
         assert!(health.starts_with("HTTP/1.1 404"), "{health}");
         server.shutdown();
+    }
+
+    /// Panics in the handler on `/boom`, and in the chunk producer after
+    /// one chunk on `/boom-stream`; answers anything else.
+    struct Boom;
+
+    impl HttpHandler for Boom {
+        fn handle(&self, request: &Request) -> Response {
+            match request.path.as_str() {
+                "/boom" => panic!("handler panic"),
+                "/boom-stream" => Response::chunked("text/plain; charset=utf-8", |writer| {
+                    writer.chunk(b"partial\n")?;
+                    panic!("producer panic")
+                }),
+                _ => Response::ok_text("ok\n"),
+            }
+        }
+    }
+
+    /// More panics than pool threads: each costs only its own
+    /// connection, and the pool still answers afterwards.
+    #[test]
+    fn panicking_handlers_cost_a_connection_not_a_pool_thread() {
+        let server = HttpServer::bind("127.0.0.1:0", Arc::new(Boom), 2).expect("bind server");
+        let addr = server.local_addr();
+        for _ in 0..3 {
+            let response = get(addr, "GET /boom HTTP/1.1\r\n\r\n");
+            assert!(response.starts_with("HTTP/1.1 500"), "{response:?}");
+        }
+        for _ in 0..3 {
+            let response = get(addr, "GET /boom-stream HTTP/1.1\r\n\r\n");
+            // The chunk before the panic arrives; the terminal frame
+            // never does.
+            assert_eq!(body(&response), "8\r\npartial\n\r\n", "{response:?}");
+        }
+        let health = get(addr, "GET /healthz HTTP/1.1\r\n\r\n");
+        assert!(health.starts_with("HTTP/1.1 200"), "{health:?}");
+        server.shutdown();
+    }
+
+    /// A request sent right after the previous one is read at once:
+    /// nothing in the transport sleeps between connections.
+    #[test]
+    fn back_to_back_requests_are_answered_without_delay() {
+        let server = HttpServer::bind("127.0.0.1:0", Arc::new(Echo), 2).expect("bind server");
+        let addr = server.local_addr();
+        let started = Instant::now();
+        for _ in 0..50 {
+            let response = get(addr, "GET /echo HTTP/1.1\r\n\r\n");
+            assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+        }
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < Duration::from_millis(250),
+            "50 back-to-back requests took {elapsed:?}"
+        );
+        server.shutdown();
+    }
+
+    /// Shutdown wakes the accept thread blocked in `accept()` — through
+    /// loopback when bound to an unspecified address — and joins it
+    /// rather than leaving it detached.
+    #[test]
+    fn shutdown_wakes_the_blocked_acceptor() {
+        for addr in ["127.0.0.1:0", "0.0.0.0:0", "[::]:0"] {
+            let server = match HttpServer::bind(addr, Arc::new(Echo), 2) {
+                Ok(server) => server,
+                Err(e) if addr == "[::]:0" => {
+                    eprintln!("skipping {addr}: host cannot bind it: {e}");
+                    continue;
+                }
+                Err(e) => panic!("bind {addr}: {e}"),
+            };
+            let queue = Arc::clone(&server.queue);
+            let started = Instant::now();
+            server.shutdown();
+            let elapsed = started.elapsed();
+            assert!(
+                elapsed < Duration::from_secs(1),
+                "shutdown of a server on {addr} took {elapsed:?}"
+            );
+            assert_eq!(
+                Arc::strong_count(&queue),
+                1,
+                "a thread of the server on {addr} outlived shutdown"
+            );
+        }
+    }
+
+    /// Holds each `/hold` request until the test releases it; answers
+    /// anything else at once.
+    struct Gate {
+        entered: std::sync::mpsc::Sender<()>,
+        release: Mutex<std::sync::mpsc::Receiver<()>>,
+    }
+
+    impl HttpHandler for Gate {
+        fn handle(&self, request: &Request) -> Response {
+            if request.path == "/hold" {
+                let _ = self.entered.send(());
+                let _ = self.release.lock().expect("gate poisoned").recv();
+            }
+            Response::ok_text("ok\n")
+        }
+    }
+
+    /// Polls `condition` until it holds, failing the test after 5 s.
+    fn wait_until(what: &str, condition: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !condition() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// A connection accepted but still queued when shutdown starts is
+    /// served, and shutdown still joins every thread.
+    #[test]
+    fn shutdown_with_a_queued_connection_serves_it_and_joins() {
+        let (entered_tx, entered) = std::sync::mpsc::channel();
+        let (release, release_rx) = std::sync::mpsc::channel();
+        let gate = Gate {
+            entered: entered_tx,
+            release: Mutex::new(release_rx),
+        };
+        let server = HttpServer::bind("127.0.0.1:0", Arc::new(gate), 1).expect("bind server");
+        let addr = server.local_addr();
+        let queue = Arc::clone(&server.queue);
+        let stop = Arc::clone(&server.stop);
+
+        // The only worker holds `/hold`, so `/healthz` waits in the queue.
+        let held = std::thread::spawn(move || get(addr, "GET /hold HTTP/1.1\r\n\r\n"));
+        entered
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the worker took /hold");
+        let queued = std::thread::spawn(move || get(addr, "GET /healthz HTTP/1.1\r\n\r\n"));
+        wait_until("the queued connection", || {
+            queue.pending.lock().expect("queue poisoned").len() == 1
+        });
+
+        let (done_tx, done) = std::sync::mpsc::channel();
+        let stopper = std::thread::spawn(move || {
+            server.shutdown();
+            let _ = done_tx.send(());
+        });
+        wait_until("shutdown to start", || stop.load(Ordering::Relaxed));
+        release.send(()).expect("release /hold");
+        done.recv_timeout(Duration::from_secs(1))
+            .expect("shutdown returned within 1 s");
+        stopper.join().expect("shutdown thread");
+
+        let held = held.join().expect("/hold client");
+        assert!(held.starts_with("HTTP/1.1 200"), "{held:?}");
+        let queued = queued.join().expect("/healthz client");
+        assert!(queued.starts_with("HTTP/1.1 200"), "{queued:?}");
+        assert_eq!(
+            Arc::strong_count(&queue),
+            1,
+            "a server thread outlived shutdown"
+        );
     }
 
     /// Checkpoint `age_s` clamps to 0 when the file mtime is ahead of
