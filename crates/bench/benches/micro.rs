@@ -1,14 +1,13 @@
 //! Criterion micro-benchmarks of the hot primitives: nybble Hamming
 //! distance, range membership/distance, nybble-tree queries, growth
-//! evaluation, Entropy/IP sampling, and tracing overhead on the engine.
+//! evaluation and Entropy/IP sampling.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sixgen_addr::{NybbleAddr, NybbleTree, Range};
-use sixgen_core::{best_growth, Cluster, ClusterMode, Config, SixGen};
+use sixgen_core::{best_growth, Cluster, ClusterMode};
 use sixgen_entropy_ip::{EntropyIpConfig, EntropyIpModel};
-use sixgen_obs::{EventBus, TraceSink};
 
 fn random_addrs(n: usize, seed: u64) -> Vec<NybbleAddr> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -113,101 +112,12 @@ fn bench_entropy_ip(c: &mut Criterion) {
     });
 }
 
-/// Tracing-overhead guardrail for the `<2 %` disabled-path criterion:
-/// the same engine run with no sink, a *disabled* sink (pays one relaxed
-/// atomic load per would-be span), and an enabled sink. Compare
-/// `engine_trace/none` against `engine_trace/disabled` — they should be
-/// within noise of each other.
-fn bench_engine_tracing(c: &mut Criterion) {
-    // Structured seeds so the engine does real growth work (the random
-    // corpus above collapses into one giant cluster too quickly).
-    let seeds: Vec<NybbleAddr> = (0..600usize)
-        .map(|i| {
-            let subnet = (i % 24) as u128;
-            NybbleAddr::from_bits((0x2001_0db8u128 << 96) | (subnet << 64) | (i / 24 + 1) as u128)
-        })
-        .collect();
-    let run = |trace: Option<std::sync::Arc<TraceSink>>| {
-        SixGen::new(
-            seeds.iter().copied(),
-            Config {
-                budget: 20_000,
-                threads: 1,
-                rng_seed: 9,
-                trace,
-                ..Config::default()
-            },
-        )
-        .run()
-    };
-    let mut group = c.benchmark_group("engine_trace");
-    group.bench_with_input(BenchmarkId::new("none", 600), &(), |b, ()| {
-        b.iter(|| black_box(run(None)))
-    });
-    group.bench_with_input(BenchmarkId::new("disabled", 600), &(), |b, ()| {
-        b.iter(|| {
-            let sink = TraceSink::shared();
-            sink.set_enabled(false);
-            black_box(run(Some(sink)))
-        })
-    });
-    group.bench_with_input(BenchmarkId::new("enabled", 600), &(), |b, ()| {
-        b.iter(|| black_box(run(Some(TraceSink::shared()))))
-    });
-    group.finish();
-}
-
-/// Event-bus overhead guardrail, same shape as [`bench_engine_tracing`]:
-/// the same engine run with no bus, a *disabled* bus (one relaxed atomic
-/// load per would-be event), and an enabled bus (timestamp + sequence +
-/// ring push per round). Compare `engine_events/none` against
-/// `engine_events/disabled` — they should be within noise of each other;
-/// `trajectory-check` gates the same ratio at < 2 % on a larger corpus.
-fn bench_engine_events(c: &mut Criterion) {
-    let seeds: Vec<NybbleAddr> = (0..600usize)
-        .map(|i| {
-            let subnet = (i % 24) as u128;
-            NybbleAddr::from_bits((0x2001_0db8u128 << 96) | (subnet << 64) | (i / 24 + 1) as u128)
-        })
-        .collect();
-    let run = |events: Option<std::sync::Arc<EventBus>>| {
-        SixGen::new(
-            seeds.iter().copied(),
-            Config {
-                budget: 20_000,
-                threads: 1,
-                rng_seed: 9,
-                events,
-                ..Config::default()
-            },
-        )
-        .run()
-    };
-    let mut group = c.benchmark_group("engine_events");
-    group.bench_with_input(BenchmarkId::new("none", 600), &(), |b, ()| {
-        b.iter(|| black_box(run(None)))
-    });
-    group.bench_with_input(BenchmarkId::new("disabled", 600), &(), |b, ()| {
-        b.iter(|| {
-            let bus = EventBus::shared();
-            bus.set_enabled(false);
-            black_box(run(Some(bus)))
-        })
-    });
-    group.bench_with_input(BenchmarkId::new("enabled", 600), &(), |b, ()| {
-        b.iter(|| black_box(run(Some(EventBus::shared()))))
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_hamming,
     bench_range_ops,
     bench_tree,
     bench_growth,
-    bench_entropy_ip,
-    bench_engine_tracing,
-    bench_engine_events
+    bench_entropy_ip
 );
 criterion_main!(benches);

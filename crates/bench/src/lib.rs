@@ -10,7 +10,7 @@
 //! cargo run --release -p sixgen-bench --bin repro -- fig4 --scale 0.5
 //! ```
 //!
-//! Criterion micro/scaling benches live in `benches/`.
+//! Criterion micro-benchmarks of the hot primitives live in `benches/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -17,10 +17,10 @@
 //!    busiest/idlest shard's busy time, worker-pool job counts (spawn
 //!    amortization), and an `identical` flag proving the merged output
 //!    matched the single-worker reference byte for byte.
-//! 5. **Observer overhead** — the same 30 K-seed run with the progress
-//!    event bus absent, attached-but-disabled, and enabled, mirroring the
-//!    `engine_trace` micro-benchmark: the disabled path must stay within
-//!    noise of the bus-absent baseline (gated at < 2 % by
+//! 5. **Observer overhead** — the same 30 K-seed run with no observer,
+//!    with a progress event bus and a trace sink attached but disabled,
+//!    and with the bus enabled: the disabled path must stay within noise
+//!    of the observer-absent baseline (gated at < 2 % by
 //!    `trajectory-check`), and every variant must emit byte-identical
 //!    targets.
 //!
@@ -33,7 +33,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sixgen_addr::{NybbleAddr, NybbleTree, Prefix, Range};
 use sixgen_core::{run_sharded, BudgetTracker, Config, ShardSpec, SixGen, WorkerPool};
-use sixgen_obs::{EventBus, MetricsRegistry};
+use sixgen_obs::{EventBus, MetricsRegistry, TraceSink};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -148,12 +148,11 @@ pub struct ShardedPoint {
     pub identical: bool,
 }
 
-/// The progress-event-bus overhead point: one engine workload measured
-/// with the bus absent, attached-but-disabled (one relaxed atomic load
-/// per would-be event), and enabled (timestamp + sequence + ring push
-/// per event). The shape this pins is the same one the `engine_trace`
-/// micro-benchmark pins for spans: carrying a disabled bus must cost
-/// nothing measurable.
+/// The observer overhead point: one engine workload measured with no
+/// observer, with an event bus and a trace sink attached but disabled
+/// (one relaxed atomic load per would-be event or span), and with the
+/// bus enabled (timestamp + sequence + ring push per event). Carrying
+/// disabled observers must cost nothing measurable.
 #[derive(Debug, Clone)]
 pub struct ObserverOverhead {
     /// Seed-set size of the measured workload.
@@ -162,16 +161,17 @@ pub struct ObserverOverhead {
     pub budget: u64,
     /// Measured repeats per variant the medians are taken over.
     pub repeats: u64,
-    /// Median wall time with no bus in the config (milliseconds).
+    /// Median wall time with no bus or sink in the config (milliseconds).
     pub off_wall_ms: f64,
-    /// Median wall time with a bus attached but disabled.
+    /// Median wall time with a bus and a trace sink attached but
+    /// disabled.
     pub disabled_wall_ms: f64,
     /// Median wall time with the bus enabled and recording.
     pub enabled_wall_ms: f64,
     /// Smallest over repeats of the *paired* per-repeat ratio
     /// `disabled_wall / off_wall − 1`, clamped at zero: the cost of
-    /// merely carrying the bus. Paired because the variants of one
-    /// repeat run back-to-back, so slow wall-clock drift (thermal,
+    /// merely carrying the bus and the sink. Paired because the variants
+    /// of one repeat run back-to-back, so slow wall-clock drift (thermal,
     /// frequency scaling) largely cancels inside each ratio; the
     /// variant order additionally alternates per repeat so residual
     /// drift cannot bias every pair the same way; and the minimum is
@@ -199,7 +199,7 @@ pub struct Trajectory {
     pub seed_scaling: Vec<ScalePoint>,
     /// Sharded-fleet ladder (1 worker vs all workers per world).
     pub sharded: Vec<ShardedPoint>,
-    /// Event-bus overhead point (off vs disabled vs enabled).
+    /// Observer overhead point (off vs disabled vs enabled).
     pub observer_overhead: ObserverOverhead,
     /// Budget-charge throughput.
     pub budget_charge: Throughput,
@@ -470,15 +470,16 @@ fn tree_query_throughput(opts: &ExperimentOptions) -> Throughput {
 
 /// One engine run for the observer-overhead point: the scaling corpus
 /// and seeding discipline of [`measure_run`], but with the progress bus
-/// (or its absence) as the only variable and the target stream returned
-/// for the byte-identity check. No metrics registry is attached so the
-/// bus-absent baseline is truly bare.
+/// and trace sink (or their absence) as the only variables and the
+/// target stream returned for the byte-identity check. No metrics
+/// registry is attached so the observer-absent baseline is truly bare.
 fn measure_observer_run(
     n: usize,
     rep: u64,
     budget: u64,
     opts: &ExperimentOptions,
     events: Option<std::sync::Arc<EventBus>>,
+    trace: Option<std::sync::Arc<TraceSink>>,
 ) -> (f64, Vec<NybbleAddr>) {
     let mut rng = StdRng::seed_from_u64(42 + rep);
     let seeds = synthetic_seeds(n, &mut rng);
@@ -489,6 +490,7 @@ fn measure_observer_run(
             threads: opts.threads,
             rng_seed: rep,
             events,
+            trace,
             ..Config::default()
         },
     )
@@ -500,8 +502,9 @@ fn measure_observer_run(
 }
 
 /// Measures the observer-overhead point: 30 K seeds (1 K in quick mode)
-/// run with the bus off, attached-but-disabled, and enabled, interleaved
-/// per repeat so load drift hits all three variants equally.
+/// run with no observer, with a disabled bus and sink, and with the bus
+/// enabled, interleaved per repeat so load drift hits all three variants
+/// equally.
 fn observer_overhead(opts: &ExperimentOptions) -> ObserverOverhead {
     let n = if opts.quick { 1_000 } else { 30_000 };
     let budget = point_budget(n, opts);
@@ -512,7 +515,7 @@ fn observer_overhead(opts: &ExperimentOptions) -> ObserverOverhead {
     // One discarded warmup so the first measured variant doesn't pay
     // process-cold costs (allocator growth, page faults) its paired
     // partners skip.
-    let _ = measure_observer_run(n, 0, budget, opts, None);
+    let _ = measure_observer_run(n, 0, budget, opts, None, None);
     for rep in 0..repeats {
         // Alternate the variant order between repeats: a monotone drift
         // in machine speed (thermal throttling, frequency ramps) would
@@ -521,16 +524,18 @@ fn observer_overhead(opts: &ExperimentOptions) -> ObserverOverhead {
         let order: [usize; 3] = if rep % 2 == 0 { [0, 1, 2] } else { [2, 1, 0] };
         let mut reference: Option<Vec<NybbleAddr>> = None;
         for variant in order {
-            let bus = match variant {
-                0 => None,
+            let (bus, sink) = match variant {
+                0 => (None, None),
                 1 => {
                     let bus = EventBus::shared();
                     bus.set_enabled(false);
-                    Some(bus)
+                    let sink = TraceSink::shared();
+                    sink.set_enabled(false);
+                    (Some(bus), Some(sink))
                 }
-                _ => Some(EventBus::shared()),
+                _ => (Some(EventBus::shared()), None),
             };
-            let (wall, targets) = measure_observer_run(n, rep, budget, opts, bus.clone());
+            let (wall, targets) = measure_observer_run(n, rep, budget, opts, bus.clone(), sink);
             walls[variant].push(wall);
             if let Some(bus) = &bus {
                 if bus.is_enabled() {
@@ -771,12 +776,11 @@ const P95_300K_REGRESSION_HEADROOM: f64 = 0.5;
 /// the 300 K wall), not microperf drift.
 const WALL_300K_REGRESSION_HEADROOM: f64 = 1.0;
 
-/// Maximum fractional wall overhead a *disabled* event bus may add over
-/// the bus-absent baseline before `trajectory-check` fails — the same
-/// `< 2 %` criterion the `engine_trace` micro-benchmark documents for
-/// disabled trace sinks. The disabled path is one relaxed atomic load
-/// per would-be event, so anything near this limit means the hot path
-/// grew a real cost.
+/// Maximum fractional wall overhead a *disabled* event bus and trace sink
+/// may add over the observer-absent baseline before `trajectory-check`
+/// fails. The disabled path is one relaxed atomic load per would-be
+/// event or span, so anything near this limit means the hot path grew a
+/// real cost.
 const OBSERVER_DISABLED_OVERHEAD_LIMIT: f64 = 0.02;
 
 /// Re-measures a committed scaling point at its *committed* budget, so
@@ -805,10 +809,10 @@ fn fresh_sample_for(json: &str, n: usize, opts: &ExperimentOptions) -> RunSample
 /// round loop's scaling holds: a fresh 300 K run (committed budget) must
 /// stay within its own, wider p95 headroom (50 % — see
 /// [`P95_300K_REGRESSION_HEADROOM`]) *and* within 2× of the committed
-/// wall time, and (5) the event bus does not perturb the engine: a fresh
+/// wall time, and (5) the observers do not perturb the engine: a fresh
 /// off/disabled/enabled comparison must produce byte-identical targets
-/// with the disabled path within
-/// [`OBSERVER_DISABLED_OVERHEAD_LIMIT`] of the bus-absent wall time.
+/// with the disabled bus and sink within
+/// [`OBSERVER_DISABLED_OVERHEAD_LIMIT`] of the observer-absent wall time.
 /// Returns `true` when all checks pass; the caller turns `false` into a
 /// non-zero exit.
 pub fn check(opts: &ExperimentOptions, path: &Path) -> bool {
@@ -913,15 +917,15 @@ pub fn check(opts: &ExperimentOptions, path: &Path) -> bool {
     );
     if !obs.identical {
         eprintln!(
-            "trajectory-check: FAIL: event-bus variants (off/disabled/enabled) did not \
+            "trajectory-check: FAIL: observer variants (off/disabled/enabled) did not \
              produce byte-identical targets"
         );
         ok = false;
     }
     if obs.disabled_overhead_frac > OBSERVER_DISABLED_OVERHEAD_LIMIT {
         eprintln!(
-            "trajectory-check: FAIL: disabled event bus added {:.2}% wall overhead \
-             (limit {:.0}%) — the disabled path must stay one relaxed load",
+            "trajectory-check: FAIL: disabled event bus and trace sink added {:.2}% wall \
+             overhead (limit {:.0}%) — the disabled path must stay one relaxed load",
             obs.disabled_overhead_frac * 100.0,
             OBSERVER_DISABLED_OVERHEAD_LIMIT * 100.0
         );

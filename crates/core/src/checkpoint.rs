@@ -48,7 +48,7 @@
 //!
 //! [`Session::resume`]: crate::Session::resume
 
-use crate::ClusterMode;
+use crate::{ClusterMode, Config};
 use sixgen_addr::{NybbleAddr, Range, NYBBLE_COUNT};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -519,6 +519,19 @@ impl EngineCheckpoint {
         EngineCheckpoint::from_bytes(&bytes)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
     }
+
+    /// `config` with the determinism fingerprint (`mode`, `rng_seed`,
+    /// `unfused_growth`) taken from this checkpoint, as
+    /// [`Session::resume`](crate::Session::resume) requires. The budget
+    /// is the caller's to choose.
+    pub fn pin_fingerprint(&self, config: Config) -> Config {
+        Config {
+            mode: self.mode,
+            rng_seed: self.rng_seed,
+            unfused_growth: self.unfused_growth,
+            ..config
+        }
+    }
 }
 
 fn duration_ns(d: Duration) -> u64 {
@@ -719,6 +732,25 @@ impl ShardedCheckpoint {
         let bytes = std::fs::read(path)?;
         ShardedCheckpoint::from_bytes(&bytes)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+    }
+
+    /// `config` with the fleet's determinism fingerprint: the global
+    /// `rng_seed`, and `mode` and `unfused_growth` from the shards (which
+    /// decoding checks agree; an empty fleet keeps `config`'s). The budget
+    /// is the caller's to choose.
+    pub fn pin_fingerprint(&self, config: Config) -> Config {
+        let (mode, unfused_growth) = self
+            .shards
+            .first()
+            .map_or((config.mode, config.unfused_growth), |s| {
+                (s.engine.mode, s.engine.unfused_growth)
+            });
+        Config {
+            rng_seed: self.rng_seed,
+            mode,
+            unfused_growth,
+            ..config
+        }
     }
 }
 
@@ -1127,5 +1159,37 @@ mod tests {
         writer.write_sharded(&envelope).unwrap();
         assert_eq!(ShardedCheckpoint::load(&path).unwrap(), envelope);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn pin_fingerprint_takes_the_checkpoint_fields_and_keeps_the_rest() {
+        let caller = Config {
+            budget: 77,
+            threads: 3,
+            ..Config::default()
+        };
+        let mut engine = sample();
+        engine.unfused_growth = true;
+        let pinned = engine.pin_fingerprint(caller.clone());
+        assert_eq!(pinned.mode, ClusterMode::Tight);
+        assert_eq!(pinned.rng_seed, 0x6CE4);
+        assert!(pinned.unfused_growth);
+        assert_eq!((pinned.budget, pinned.threads), (77, 3));
+
+        let mut fleet = sample_sharded();
+        for shard in &mut fleet.shards {
+            shard.engine.unfused_growth = true;
+        }
+        let pinned = fleet.pin_fingerprint(caller.clone());
+        assert_eq!(pinned.mode, ClusterMode::Tight);
+        assert_eq!(pinned.rng_seed, 0xFEED, "the global seed, not a shard's");
+        assert!(pinned.unfused_growth);
+        assert_eq!((pinned.budget, pinned.threads), (77, 3));
+
+        fleet.shards.clear();
+        let pinned = fleet.pin_fingerprint(caller.clone());
+        assert_eq!(pinned.mode, caller.mode, "an empty fleet keeps the caller's mode");
+        assert_eq!(pinned.unfused_growth, caller.unfused_growth);
+        assert_eq!(pinned.rng_seed, 0xFEED);
     }
 }

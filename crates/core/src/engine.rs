@@ -314,6 +314,7 @@ impl SixGen {
         trace: Option<&TraceSink>,
         parent: SpanId,
         pool: Option<&Arc<crate::WorkerPool>>,
+        threads: usize,
     ) -> Duration {
         debug_assert!(
             stale
@@ -335,12 +336,6 @@ impl SixGen {
         if let Some(m) = metrics {
             m.cache_recomputes.add(stale.len() as u64);
         }
-        let threads = match self.config.threads {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            n => n,
-        };
         let Some(pool) = pool.filter(|_| threads > 1 && stale.len() >= 64) else {
             let start = Instant::now();
             for &i in stale {
@@ -685,6 +680,9 @@ pub struct Session {
     /// Worker pool for parallel cache fills: [`Config::pool`] if set,
     /// else a private pool created at start when `threads > 1`.
     pool: Option<Arc<crate::WorkerPool>>,
+    /// [`Config::threads`] resolved once at start or resume, so rounds
+    /// never ask the OS for the CPU count.
+    threads: usize,
     /// When `true`, an over-budget selected growth parks the session
     /// with [`Step::NeedsBudget`] instead of final-sampling (see
     /// [`Session::set_defer_exhaustion`]).
@@ -708,7 +706,8 @@ impl Session {
             root.attr("budget", engine.config.budget);
             root.id()
         };
-        let pool = Self::session_pool(&engine);
+        let threads = crate::pool::resolve_threads(engine.config.threads);
+        let pool = Self::session_pool(&engine, threads);
         let mut budget = BudgetTracker::new(engine.config.budget);
         let mut slots: Vec<Slot> = Vec::with_capacity(engine.shared.seeds.len());
         let mut done = None;
@@ -755,6 +754,7 @@ impl Session {
             metrics,
             root,
             pool,
+            threads,
             defer_exhaustion: false,
             done,
         };
@@ -770,16 +770,10 @@ impl Session {
     /// The pool used for parallel cache fills: the configured shared
     /// pool, or a private one when `threads > 1` asks for parallelism
     /// without providing a pool. Serial configs get none.
-    fn session_pool(engine: &SixGen) -> Option<Arc<crate::WorkerPool>> {
+    fn session_pool(engine: &SixGen, threads: usize) -> Option<Arc<crate::WorkerPool>> {
         if let Some(pool) = &engine.config.pool {
             return Some(Arc::clone(pool));
         }
-        let threads = match engine.config.threads {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            n => n,
-        };
         (threads > 1).then(|| Arc::new(crate::WorkerPool::new(threads)))
     }
 
@@ -841,7 +835,8 @@ impl Session {
             root.attr("resumed_at_round", checkpoint.rounds);
             root.id()
         };
-        let pool = Self::session_pool(&engine);
+        let threads = crate::pool::resolve_threads(engine.config.threads);
+        let pool = Self::session_pool(&engine, threads);
         let slots: Vec<Slot> = checkpoint
             .slots
             .into_iter()
@@ -902,6 +897,7 @@ impl Session {
             metrics,
             root,
             pool,
+            threads,
             defer_exhaustion: false,
             done: None,
         };
@@ -1018,6 +1014,7 @@ impl Session {
                 trace,
                 span.id(),
                 self.pool.as_ref(),
+                self.threads,
             );
             for &i in &stale_now {
                 self.keys[i] = SelectKey::of(&self.slots[i].cached);

@@ -57,6 +57,20 @@ std::thread_local! {
     static WORKER_INDEX: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
 }
 
+/// Resolves a thread-count setting ([`Config::threads`], the fleet's
+/// `workers`): `0` means the machine's available parallelism, which costs
+/// a system call, so callers resolve once and keep the result.
+///
+/// [`Config::threads`]: crate::Config::threads
+pub(crate) fn resolve_threads(threads: usize) -> usize {
+    match threads {
+        0 => std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1),
+        n => n,
+    }
+}
+
 /// A fixed-size persistent worker pool with work stealing.
 pub struct WorkerPool {
     shared: Arc<Shared>,

@@ -312,12 +312,7 @@ struct Driver {
 
 impl Driver {
     fn new(config: &Config, workers: usize, _shards: usize) -> Driver {
-        let workers = match workers {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            n => n,
-        };
+        let workers = crate::pool::resolve_threads(workers);
         let pool = config
             .pool
             .clone()

@@ -41,6 +41,10 @@
 //! [`EventBus::dropped`] so a truncated window is never mistaken for a
 //! complete history. The live table is bounded by the shard count and the
 //! throughput window by [`SAMPLE_WINDOW`] entries.
+//!
+//! The rings and the stream writer are shared with the trace sink (the
+//! crate-private `ring` module); this file owns only the event types, the
+//! live table and the NDJSON format, one line per event.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
@@ -49,11 +53,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::escape_json;
-use crate::trace::thread_id;
-
-/// Number of ring shards, matching `trace.rs`: threads map to shards by
-/// the shared process-wide thread id.
-const SHARDS: usize = 16;
+use crate::ring::{thread_id, LiveStream, ShardedRing};
 
 /// Throughput samples retained for the rolling budget-burn estimate.
 const SAMPLE_WINDOW: usize = 256;
@@ -328,33 +328,6 @@ impl EventRecord {
     }
 }
 
-/// Fixed-capacity overwrite-oldest buffer of event records.
-#[derive(Debug, Default)]
-struct Ring {
-    records: Vec<EventRecord>,
-    head: usize,
-}
-
-impl Ring {
-    /// Appends a record; returns `true` if an old record was overwritten.
-    fn push(&mut self, record: EventRecord, capacity: usize) -> bool {
-        if self.records.len() < capacity {
-            self.records.push(record);
-            false
-        } else {
-            self.records[self.head] = record;
-            self.head = (self.head + 1) % capacity;
-            true
-        }
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &EventRecord> {
-        self.records[self.head..]
-            .iter()
-            .chain(self.records[..self.head].iter())
-    }
-}
-
 /// Live progress of one shard, folded from its events as they arrive.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardProgress {
@@ -415,17 +388,6 @@ impl ProgressSnapshot {
     /// Budget still unspent against the total (saturating).
     pub fn budget_remaining(&self) -> u64 {
         self.budget_total.saturating_sub(self.budget_used)
-    }
-}
-
-/// Live destination for streamed NDJSON lines.
-struct StreamState {
-    writer: Box<dyn std::io::Write + Send>,
-}
-
-impl std::fmt::Debug for StreamState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StreamState").finish_non_exhaustive()
     }
 }
 
@@ -558,21 +520,14 @@ impl Live {
 #[derive(Debug)]
 pub struct EventBus {
     enabled: AtomicBool,
-    /// Ring capacity per shard.
-    capacity: usize,
-    shards: [Mutex<Ring>; SHARDS],
+    ring: ShardedRing<EventRecord>,
     next_seq: AtomicU64,
-    dropped: AtomicU64,
     epoch: Instant,
     /// Explicit budget-total hint for ETA when per-shard budgets are
     /// partial leases; 0 = unset.
     budget_total: AtomicU64,
     live: Mutex<Live>,
-    /// Fast-path flag mirroring `stream.is_some()`.
-    stream_active: AtomicBool,
-    stream: Mutex<Option<StreamState>>,
-    streamed: AtomicU64,
-    stream_errors: AtomicU64,
+    stream: LiveStream,
 }
 
 impl Default for EventBus {
@@ -596,17 +551,12 @@ impl EventBus {
     pub fn with_capacity(capacity: usize) -> EventBus {
         EventBus {
             enabled: AtomicBool::new(true),
-            capacity: capacity.max(1),
-            shards: [(); SHARDS].map(|()| Mutex::new(Ring::default())),
+            ring: ShardedRing::new(capacity),
             next_seq: AtomicU64::new(1),
-            dropped: AtomicU64::new(0),
             epoch: Instant::now(),
             budget_total: AtomicU64::new(0),
             live: Mutex::new(Live::default()),
-            stream_active: AtomicBool::new(false),
-            stream: Mutex::new(None),
-            streamed: AtomicU64::new(0),
-            stream_errors: AtomicU64::new(0),
+            stream: LiveStream::default(),
         }
     }
 
@@ -640,15 +590,12 @@ impl EventBus {
 
     /// Number of events lost to ring-buffer wrap-around.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.ring.dropped()
     }
 
     /// Number of events currently retained.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("event shard poisoned").records.len())
-            .sum()
+        self.ring.len()
     }
 
     /// `true` if no event has been retained.
@@ -659,7 +606,8 @@ impl EventBus {
     /// Publishes one event: stamps it, folds it into the live table,
     /// streams it when a stream is attached, and retains it in the
     /// publishing thread's ring. A disabled bus ignores the event for the
-    /// cost of one relaxed load.
+    /// cost of one relaxed load. The live-table, stream and ring locks
+    /// are taken one after another, never nested.
     pub fn publish(&self, event: ProgressEvent) {
         if !self.enabled.load(Ordering::Relaxed) {
             return;
@@ -675,17 +623,12 @@ impl EventBus {
             .lock()
             .expect("event live table poisoned")
             .fold(record.wall_ns, &record.event);
-        if self.stream_active.load(Ordering::Relaxed) {
-            self.stream_event(&record);
+        if self.stream.is_active() {
+            let mut line = record.to_json();
+            line.push('\n');
+            self.stream.write(line.as_bytes());
         }
-        let shard = (record.thread as usize) % SHARDS;
-        let wrapped = self.shards[shard]
-            .lock()
-            .expect("event shard poisoned")
-            .push(record, self.capacity);
-        if wrapped {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
+        self.ring.push(record.thread, record);
     }
 
     /// Nanoseconds since the bus's epoch.
@@ -702,65 +645,32 @@ impl EventBus {
     /// streaming (counted in [`stream_errors`](Self::stream_errors));
     /// publishing continues ring-only.
     pub fn stream_to(&self, writer: Box<dyn std::io::Write + Send>) {
-        let mut slot = self.stream.lock().expect("event stream poisoned");
-        *slot = Some(StreamState { writer });
-        self.stream_active.store(true, Ordering::Relaxed);
+        self.stream.attach(writer);
     }
 
     /// Flushes and drops the active stream writer. A no-op returning
     /// `Ok` when no stream is active (including after a write error
     /// already tore the stream down).
     pub fn finish_stream(&self) -> std::io::Result<()> {
-        self.stream_active.store(false, Ordering::Relaxed);
-        let state = self.stream.lock().expect("event stream poisoned").take();
-        match state {
-            Some(mut state) => state.writer.flush(),
-            None => Ok(()),
-        }
+        self.stream.finish(String::new)
     }
 
     /// Number of events successfully written to the stream.
     pub fn streamed(&self) -> u64 {
-        self.streamed.load(Ordering::Relaxed)
+        self.stream.written()
     }
 
     /// Number of stream write failures — effectively 0 or 1 per
     /// [`stream_to`](Self::stream_to) call, since the first failure tears
     /// the stream down.
     pub fn stream_errors(&self) -> u64 {
-        self.stream_errors.load(Ordering::Relaxed)
-    }
-
-    /// Formats and writes one NDJSON line to the active stream. The line
-    /// is built before taking the stream lock; a write failure tears the
-    /// stream down — observability must never take down the observed run.
-    fn stream_event(&self, record: &EventRecord) {
-        let mut line = record.to_json();
-        line.push('\n');
-        let mut slot = self.stream.lock().expect("event stream poisoned");
-        let Some(state) = slot.as_mut() else {
-            return;
-        };
-        match state.writer.write_all(line.as_bytes()) {
-            Ok(()) => {
-                self.streamed.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                self.stream_errors.fetch_add(1, Ordering::Relaxed);
-                self.stream_active.store(false, Ordering::Relaxed);
-                *slot = None;
-            }
-        }
+        self.stream.errors()
     }
 
     /// All retained events, merged across shards and sorted by sequence
     /// number. Non-destructive.
     pub fn snapshot(&self) -> Vec<EventRecord> {
-        let mut events: Vec<EventRecord> = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            let ring = shard.lock().expect("event shard poisoned");
-            events.extend(ring.iter().cloned());
-        }
+        let mut events = self.ring.snapshot();
         events.sort_by_key(|e| e.seq);
         events
     }
@@ -1060,11 +970,28 @@ mod tests {
 
     #[test]
     fn concurrent_publishing_is_lossless_under_capacity() {
+        #[derive(Clone, Default)]
+        struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+        impl std::io::Write for SharedBuf {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.lock().unwrap().extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
         let bus = EventBus::with_capacity(10_000);
+        let buf = SharedBuf::default();
+        bus.stream_to(Box::new(buf.clone()));
+        // All eight publishers start together, so their ring pushes and
+        // stream writes interleave.
+        let start = std::sync::Barrier::new(8);
         std::thread::scope(|scope| {
             for t in 0..8u64 {
-                let bus = &bus;
+                let (bus, start) = (&bus, &start);
                 scope.spawn(move || {
+                    start.wait();
                     for i in 1..=500 {
                         bus.publish(round(t, i, i));
                     }
@@ -1079,5 +1006,25 @@ mod tests {
         seqs.dedup();
         assert_eq!(seqs.len(), 4_000, "sequence numbers are unique");
         assert_eq!(bus.progress().shards.len(), 8);
+
+        assert_eq!(bus.streamed(), 4_000);
+        assert_eq!(bus.stream_errors(), 0);
+        bus.finish_stream().unwrap();
+        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+        let mut streamed_seqs: Vec<u64> = text
+            .lines()
+            .map(|line| {
+                validate_json(line).unwrap_or_else(|e| panic!("bad NDJSON {line:?}: {e}"));
+                let digits = line
+                    .strip_prefix("{\"seq\":")
+                    .and_then(|rest| rest.split(',').next())
+                    .unwrap_or_else(|| panic!("line without a leading seq: {line:?}"));
+                digits.parse().expect("numeric seq")
+            })
+            .collect();
+        assert_eq!(streamed_seqs.len(), 4_000, "one line per event");
+        streamed_seqs.sort_unstable();
+        streamed_seqs.dedup();
+        assert_eq!(streamed_seqs, seqs, "every event streamed exactly once");
     }
 }

@@ -48,6 +48,7 @@
 
 pub mod events;
 mod prom;
+mod ring;
 pub mod serve;
 pub mod trace;
 

@@ -46,20 +46,20 @@
 //! failures never disturb the run: the first error permanently disables
 //! streaming (counted in [`TraceSink::stream_errors`]) and recording
 //! continues ring-only.
+//!
+//! The rings and the stream writer are the same ones the event bus uses
+//! (the crate-private `ring` module); this file owns only the span types
+//! and the Chrome format: the preamble, the `,\n` event framing and the
+//! `otherData` trailer.
 
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::escape_json;
-
-/// Number of ring-buffer shards. Threads map to shards by a process-wide
-/// per-thread id, so up to this many threads record without sharing a
-/// lock.
-const SHARDS: usize = 16;
+use crate::ring::{thread_id, LiveStream, ShardedRing, SHARDS};
 
 /// Maximum number of key/value attributes per span; extra [`Span::attr`]
 /// calls are silently ignored.
@@ -117,57 +117,6 @@ impl SpanRecord {
     }
 }
 
-/// Fixed-capacity overwrite-oldest buffer of span records.
-#[derive(Debug, Default)]
-struct Ring {
-    records: Vec<SpanRecord>,
-    /// Index of the oldest record once the buffer has wrapped.
-    head: usize,
-    /// Whether this ring has ever overwritten a record.
-    wrapped: bool,
-}
-
-impl Ring {
-    /// Appends a record; returns `true` if an old record was overwritten.
-    fn push(&mut self, record: SpanRecord, capacity: usize) -> bool {
-        if self.records.len() < capacity {
-            self.records.push(record);
-            false
-        } else {
-            self.records[self.head] = record;
-            self.head = (self.head + 1) % capacity;
-            self.wrapped = true;
-            true
-        }
-    }
-
-    /// Records in arrival order.
-    fn iter(&self) -> impl Iterator<Item = &SpanRecord> {
-        self.records[self.head..]
-            .iter()
-            .chain(self.records[..self.head].iter())
-    }
-}
-
-/// Process-wide thread-id assignment: each OS thread gets a stable small
-/// id the first time it records a span (into any sink). Shared with the
-/// progress-event bus (`crate::events`) so spans and events from the same
-/// thread carry the same id.
-pub(crate) fn thread_id() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    thread_local! {
-        static TID: Cell<u64> = const { Cell::new(0) };
-    }
-    TID.with(|cell| {
-        let mut id = cell.get();
-        if id == 0 {
-            id = NEXT.fetch_add(1, Ordering::Relaxed);
-            cell.set(id);
-        }
-        id
-    })
-}
-
 /// Appends one span as a Chrome complete (`"ph":"X"`) trace event. Shared
 /// by the batch exporter ([`TraceSink::to_chrome_json`]) and the live
 /// stream so both emit byte-identical events. Timestamps and durations
@@ -195,36 +144,15 @@ fn chrome_event(span: &SpanRecord, out: &mut String) {
     out.push_str("}}");
 }
 
-/// Live destination for streamed span events. The preamble always emits a
-/// metadata event, so every subsequent event is comma-prefixed — no
-/// first-event state to track.
-struct StreamState {
-    writer: Box<dyn std::io::Write + Send>,
-}
-
-impl std::fmt::Debug for StreamState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StreamState").finish_non_exhaustive()
-    }
-}
-
 /// A bounded collector of [`Span`]s. See the module docs for the overhead
 /// and boundedness guarantees.
 #[derive(Debug)]
 pub struct TraceSink {
     enabled: AtomicBool,
-    /// Ring capacity per shard.
-    capacity: usize,
-    shards: [Mutex<Ring>; SHARDS],
+    ring: ShardedRing<SpanRecord>,
     next_id: AtomicU64,
-    dropped: AtomicU64,
     epoch: Instant,
-    /// Fast-path flag mirroring `stream.is_some()`; checked lock-free on
-    /// every record so non-streaming sinks pay one relaxed load.
-    stream_active: AtomicBool,
-    stream: Mutex<Option<StreamState>>,
-    streamed: AtomicU64,
-    stream_errors: AtomicU64,
+    stream: LiveStream,
 }
 
 impl Default for TraceSink {
@@ -248,15 +176,10 @@ impl TraceSink {
     pub fn with_capacity(capacity: usize) -> TraceSink {
         TraceSink {
             enabled: AtomicBool::new(true),
-            capacity: capacity.max(1),
-            shards: [(); SHARDS].map(|()| Mutex::new(Ring::default())),
+            ring: ShardedRing::new(capacity),
             next_id: AtomicU64::new(1),
-            dropped: AtomicU64::new(0),
             epoch: Instant::now(),
-            stream_active: AtomicBool::new(false),
-            stream: Mutex::new(None),
-            streamed: AtomicU64::new(0),
-            stream_errors: AtomicU64::new(0),
+            stream: LiveStream::default(),
         }
     }
 
@@ -278,24 +201,18 @@ impl TraceSink {
 
     /// Number of spans lost to ring-buffer wrap-around since creation.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.ring.dropped()
     }
 
     /// Number of shard rings that have wrapped at least once (0 means the
     /// retained window is complete; up to 16 shards can wrap).
     pub fn wrapped_shards(&self) -> u64 {
-        self.shards
-            .iter()
-            .filter(|s| s.lock().expect("trace shard poisoned").wrapped)
-            .count() as u64
+        self.ring.wrapped_shards()
     }
 
     /// Number of spans currently retained.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("trace shard poisoned").records.len())
-            .sum()
+        self.ring.len()
     }
 
     /// `true` if no span has been retained.
@@ -328,18 +245,16 @@ impl TraceSink {
         u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
+    /// Streams the span when a stream is attached (formatted before the
+    /// stream lock is taken), then retains it in its thread's ring.
     fn record(&self, record: SpanRecord) {
-        if self.stream_active.load(Ordering::Relaxed) {
-            self.stream_event(&record);
+        if self.stream.is_active() {
+            let mut event = String::with_capacity(192);
+            event.push_str(",\n");
+            chrome_event(&record, &mut event);
+            self.stream.write(event.as_bytes());
         }
-        let shard = (record.thread as usize) % SHARDS;
-        let wrapped = self.shards[shard]
-            .lock()
-            .expect("trace shard poisoned")
-            .push(record, self.capacity);
-        if wrapped {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
+        self.ring.push(record.thread, record);
     }
 
     /// Attaches a live writer: every span recorded from now on is also
@@ -349,15 +264,16 @@ impl TraceSink {
     /// to close the document. Replaces any previous stream without closing
     /// it. Spans recorded before this call are *not* replayed — stream
     /// early, before the rings can wrap.
+    ///
+    /// The preamble ends in a metadata event, so every span event is
+    /// framed as `,\n` plus the event: no first-event state to track.
     pub fn stream_to(&self, mut writer: Box<dyn std::io::Write + Send>) -> std::io::Result<()> {
         writer.write_all(
             b"{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n\
               {\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\",\
               \"args\":{\"name\":\"sixgen\"}}",
         )?;
-        let mut slot = self.stream.lock().expect("trace stream poisoned");
-        *slot = Some(StreamState { writer });
-        self.stream_active.store(true, Ordering::Relaxed);
+        self.stream.attach(writer);
         Ok(())
     }
 
@@ -367,66 +283,33 @@ impl TraceSink {
     /// stream is active (including after a write error already tore the
     /// stream down).
     pub fn finish_stream(&self) -> std::io::Result<()> {
-        self.stream_active.store(false, Ordering::Relaxed);
-        let state = self.stream.lock().expect("trace stream poisoned").take();
-        let Some(mut state) = state else {
-            return Ok(());
-        };
-        let trailer = format!(
-            "\n],\"otherData\":{{\"spans_streamed\":{},\"stream_write_errors\":{},\
-             \"ring_dropped_spans\":{}}}}}\n",
-            self.streamed(),
-            self.stream_errors(),
-            self.dropped()
-        );
-        state.writer.write_all(trailer.as_bytes())?;
-        state.writer.flush()
+        self.stream.finish(|| {
+            format!(
+                "\n],\"otherData\":{{\"spans_streamed\":{},\"stream_write_errors\":{},\
+                 \"ring_dropped_spans\":{}}}}}\n",
+                self.streamed(),
+                self.stream_errors(),
+                self.dropped()
+            )
+        })
     }
 
     /// Number of span events successfully written to the stream.
     pub fn streamed(&self) -> u64 {
-        self.streamed.load(Ordering::Relaxed)
+        self.stream.written()
     }
 
     /// Number of stream write failures. The first failure permanently
     /// disables streaming (recording continues ring-only), so this is
     /// effectively 0 or 1 per [`stream_to`](Self::stream_to) call.
     pub fn stream_errors(&self) -> u64 {
-        self.stream_errors.load(Ordering::Relaxed)
-    }
-
-    /// Formats and appends one span event to the active stream. The event
-    /// JSON is built *before* taking the stream lock so contention covers
-    /// only the write itself. On write failure the stream is torn down —
-    /// tracing must never take down the traced run.
-    fn stream_event(&self, record: &SpanRecord) {
-        let mut event = String::with_capacity(192);
-        event.push_str(",\n");
-        chrome_event(record, &mut event);
-        let mut slot = self.stream.lock().expect("trace stream poisoned");
-        let Some(state) = slot.as_mut() else {
-            return;
-        };
-        match state.writer.write_all(event.as_bytes()) {
-            Ok(()) => {
-                self.streamed.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                self.stream_errors.fetch_add(1, Ordering::Relaxed);
-                self.stream_active.store(false, Ordering::Relaxed);
-                *slot = None;
-            }
-        }
+        self.stream.errors()
     }
 
     /// All retained spans, merged across shards and sorted by start time
     /// (ties by id). Non-destructive.
     pub fn snapshot(&self) -> Vec<SpanRecord> {
-        let mut spans: Vec<SpanRecord> = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            let ring = shard.lock().expect("trace shard poisoned");
-            spans.extend(ring.iter().cloned());
-        }
+        let mut spans = self.ring.snapshot();
         spans.sort_by_key(|s| (s.start_ns, s.id));
         spans
     }
@@ -538,7 +421,7 @@ impl TraceSink {
             let wrapped = self.wrapped_shards();
             let _ = writeln!(
                 out,
-                "({dropped} spans dropped to ring-buffer wrap across {wrapped} of 16 shard rings)"
+                "({dropped} spans dropped to ring-buffer wrap across {wrapped} of {SHARDS} shard rings)"
             );
         }
         out
@@ -796,6 +679,7 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
 
     #[test]
     fn spans_record_nesting_and_attrs() {

@@ -211,6 +211,11 @@ impl PrefixTable {
     }
 }
 
+/// The prefix length [`partition_by_length`] shards by when no routed-prefix
+/// table is given: seeds group under their enclosing /48, the typical BGP
+/// announcement size.
+pub const FALLBACK_SHARD_LEN: u8 = 48;
+
 /// Deterministically partitions addresses into fixed-length prefix
 /// shards — the fallback when no BGP table is available (every address
 /// is "routed" under its enclosing /`len`). Same ordering contract as

@@ -45,7 +45,7 @@ use sixgen::datasets::io::{read_hitlist_file, write_hitlist_binary_file, write_h
 use sixgen::datasets::split_groups;
 use sixgen::entropy_ip::{entropy_profile, EntropyIpConfig, EntropyIpModel};
 use sixgen::obs::{EventBus, MetricsRegistry, Observer, ObserverSources, TraceSink};
-use sixgen::routing::{partition_by_length, PrefixTable};
+use sixgen::routing::{partition_by_length, PrefixTable, FALLBACK_SHARD_LEN};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -535,11 +535,8 @@ fn run_engine(cli: &Cli, seeds: Vec<NybbleAddr>, config: Config) -> Result<Outco
                 checkpoint.generated.len()
             );
             let config = Config {
-                mode: checkpoint.mode,
-                rng_seed: checkpoint.rng_seed,
-                unfused_growth: checkpoint.unfused_growth,
                 budget: cli.budget.unwrap_or(checkpoint.budget),
-                ..config
+                ..checkpoint.pin_fingerprint(config)
             };
             Session::resume(checkpoint, config)
                 .map_err(|e| format!("cannot resume from {}: {e}", path.display()))?
@@ -577,10 +574,6 @@ fn run_engine(cli: &Cli, seeds: Vec<NybbleAddr>, config: Config) -> Result<Outco
     }
     Ok(outcome)
 }
-
-/// The shard granularity when no `--routes` table is given: group seeds
-/// under their enclosing /48, the typical BGP announcement size.
-const FALLBACK_SHARD_LEN: u8 = 48;
 
 /// Reads a routed-prefix table: one `PREFIX [ASN]` per line, with `#`
 /// comments and blank lines skipped. The ASN defaults to 0 when absent
@@ -692,17 +685,8 @@ fn run_fleet(cli: &Cli, config: Config) -> Result<ShardedOutcome, String> {
                 envelope.epochs
             );
             let config = Config {
-                rng_seed: envelope.rng_seed,
                 budget: cli.budget.unwrap_or(envelope.budget),
-                mode: envelope
-                    .shards
-                    .first()
-                    .map_or(config.mode, |s| s.engine.mode),
-                unfused_growth: envelope
-                    .shards
-                    .first()
-                    .map_or(config.unfused_growth, |s| s.engine.unfused_growth),
-                ..config
+                ..envelope.pin_fingerprint(config)
             };
             resume_sharded_with(envelope, config, workers, &mut at_barrier)
                 .map_err(|e| format!("cannot resume from {}: {e}", path.display()))?

@@ -69,17 +69,12 @@ use crate::obs::{
     escape_json, observer_response, status_json, write_atomic, EventBus, HttpHandler, HttpServer,
     MetricsRegistry, ObserverSources, Request, Response,
 };
-use crate::routing::partition_by_length;
+use crate::routing::{partition_by_length, FALLBACK_SHARD_LEN};
 
 /// Default handler-pool size for `sixgen serve`: each in-flight target
 /// stream occupies one slot for its duration, and the rest keep
 /// `/healthz` and job control responsive.
 pub const DEFAULT_SERVE_THREADS: usize = 4;
-
-/// Shard granularity for sharded jobs (no routes table over HTTP yet):
-/// group seeds under their enclosing /48, the typical BGP announcement
-/// size — the same fallback `sixgen generate --shards` uses.
-const FALLBACK_SHARD_LEN: u8 = 48;
 
 /// How long a target-stream handler sleeps on the feed condvar before
 /// re-checking for server shutdown.
@@ -787,11 +782,8 @@ impl JobManager {
         let session = match resume {
             Some(checkpoint) => {
                 let config = Config {
-                    mode: checkpoint.mode,
-                    rng_seed: checkpoint.rng_seed,
-                    unfused_growth: checkpoint.unfused_growth,
                     budget: spec.budget.max(checkpoint.budget),
-                    ..config
+                    ..checkpoint.pin_fingerprint(config)
                 };
                 Session::resume(checkpoint, config)
                     .map_err(|e| format!("cannot resume from checkpoint: {e}"))?
@@ -866,17 +858,8 @@ impl JobManager {
         let fleet = match resume {
             Some(envelope) => {
                 let config = Config {
-                    rng_seed: envelope.rng_seed,
                     budget: spec.budget.max(envelope.budget),
-                    mode: envelope
-                        .shards
-                        .first()
-                        .map_or(config.mode, |s| s.engine.mode),
-                    unfused_growth: envelope
-                        .shards
-                        .first()
-                        .map_or(config.unfused_growth, |s| s.engine.unfused_growth),
-                    ..config
+                    ..envelope.pin_fingerprint(config)
                 };
                 resume_sharded_with(envelope, config, workers, at_barrier)
                     .map_err(|e| format!("cannot resume fleet from checkpoint: {e}"))?
