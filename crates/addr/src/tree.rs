@@ -595,7 +595,7 @@ impl NybbleTree {
 
     /// Collapses every sparse subtree — at least 2 and at most `max_bin`
     /// stored addresses, with branching below it — into a flat
-    /// [`Children::Bin`] of full address bits, ascending.
+    /// `Children::Bin` of full address bits, ascending.
     ///
     /// Sparse regions (isolated addresses differing in a few scattered
     /// nybbles) dominate the node count of a 16-ary trie, and the
@@ -613,7 +613,7 @@ impl NybbleTree {
     /// valid. Every query returns results byte-identical to the
     /// uncompressed tree, including candidate-group and nearest-seed
     /// *order* (bin survivors are replayed in the traversal's visit
-    /// order — see [`dfs_order`]).
+    /// order — see `dfs_order`).
     ///
     /// [`subtree_counts`]: NybbleTree::subtree_counts
     pub fn compress_bins(&mut self, max_bin: usize) {

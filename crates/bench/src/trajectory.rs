@@ -178,7 +178,7 @@ pub struct ObserverOverhead {
     /// taken because a *real* carried cost appears in every pair while
     /// scheduler noise is sporadic — the classic min-estimator, applied
     /// to ratios. `trajectory-check` gates a fresh measurement of this
-    /// below [`OBSERVER_DISABLED_OVERHEAD_LIMIT`].
+    /// below `OBSERVER_DISABLED_OVERHEAD_LIMIT` (2 %).
     pub disabled_overhead_frac: f64,
     /// Smallest paired ratio `enabled_wall / off_wall − 1`, clamped at
     /// zero: the full recording cost. Documented, not gated — recording
@@ -808,11 +808,12 @@ fn fresh_sample_for(json: &str, n: usize, opts: &ExperimentOptions) -> RunSample
 /// value by more than 25 %, (4) when a 300 K point is committed, the
 /// round loop's scaling holds: a fresh 300 K run (committed budget) must
 /// stay within its own, wider p95 headroom (50 % — see
-/// [`P95_300K_REGRESSION_HEADROOM`]) *and* within 2× of the committed
+/// `P95_300K_REGRESSION_HEADROOM`) *and* within 2× of the committed
 /// wall time, and (5) the observers do not perturb the engine: a fresh
 /// off/disabled/enabled comparison must produce byte-identical targets
 /// with the disabled bus and sink within
-/// [`OBSERVER_DISABLED_OVERHEAD_LIMIT`] of the observer-absent wall time.
+/// `OBSERVER_DISABLED_OVERHEAD_LIMIT` (2 %) of the observer-absent wall
+/// time.
 /// Returns `true` when all checks pass; the caller turns `false` into a
 /// non-zero exit.
 pub fn check(opts: &ExperimentOptions, path: &Path) -> bool {

@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! magic "6GSN" · version u16
-//! config fingerprint: mode u8 · unfused u8 · rng_seed u64 · budget u64
+//! config fingerprint: mode u8 · rng_seed u64 · budget u64
 //! rng state: 4 × u64 (xoshiro256++ words)
 //! counters: rounds · growths · subsumed · worker_panics (u64 each)
 //! durations: cpu_time_ns · wall_time_ns (u64 each)
@@ -41,10 +41,12 @@
 //! to interpret ([`FORMAT_VERSION`] only, today) and reject everything
 //! else: a checkpoint is a promise of byte-identical resumption, and
 //! best-effort migration of half-understood state would silently break
-//! that promise. The config fingerprint (mode, fused/unfused growth
-//! path, RNG seed) is enforced at [`Session::resume`] time for the same
-//! reason; the budget is deliberately *not* part of the fingerprint so a
-//! resumed run can be topped up.
+//! that promise. Version 2 dropped version 1's growth-path byte after
+//! the mode, so a version-1 file is refused with
+//! [`CheckpointError::UnsupportedVersion`]. The config fingerprint (mode,
+//! RNG seed) is enforced at [`Session::resume`] time for the same reason;
+//! the budget is deliberately *not* part of the fingerprint so a resumed
+//! run can be topped up.
 //!
 //! [`Session::resume`]: crate::Session::resume
 
@@ -57,7 +59,7 @@ use std::time::Duration;
 pub const MAGIC: [u8; 4] = *b"6GSN";
 
 /// The format version this build writes and accepts.
-pub const FORMAT_VERSION: u16 = 1;
+pub const FORMAT_VERSION: u16 = 2;
 
 /// A cluster slot's cached best growth, as checkpointed.
 ///
@@ -107,9 +109,6 @@ pub struct SlotCheckpoint {
 pub struct EngineCheckpoint {
     /// Cluster mode of the checkpointed run (fingerprint field).
     pub mode: ClusterMode,
-    /// Whether the run used the unfused reference growth path
-    /// (fingerprint field).
-    pub unfused_growth: bool,
     /// The run's RNG seed (fingerprint field).
     pub rng_seed: u64,
     /// The budget the run was configured with. Not a fingerprint field:
@@ -316,7 +315,6 @@ impl EngineCheckpoint {
             ClusterMode::Loose => 0,
             ClusterMode::Tight => 1,
         });
-        out.push(u8::from(self.unfused_growth));
         put_u64(&mut out, self.rng_seed);
         put_u64(&mut out, self.budget);
         for word in self.rng_state {
@@ -386,11 +384,6 @@ impl EngineCheckpoint {
             1 => ClusterMode::Tight,
             _ => return Err(CheckpointError::Invalid("unknown cluster mode")),
         };
-        let unfused_growth = match r.u8()? {
-            0 => false,
-            1 => true,
-            _ => return Err(CheckpointError::Invalid("unknown growth-path flag")),
-        };
         let rng_seed = r.u64()?;
         let budget = r.u64()?;
         let mut rng_state = [0u64; 4];
@@ -446,7 +439,6 @@ impl EngineCheckpoint {
         }
         let checkpoint = EngineCheckpoint {
             mode,
-            unfused_growth,
             rng_seed,
             budget,
             rng_state,
@@ -520,15 +512,14 @@ impl EngineCheckpoint {
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
     }
 
-    /// `config` with the determinism fingerprint (`mode`, `rng_seed`,
-    /// `unfused_growth`) taken from this checkpoint, as
-    /// [`Session::resume`](crate::Session::resume) requires. The budget
-    /// is the caller's to choose.
+    /// `config` with the determinism fingerprint (`mode`, `rng_seed`)
+    /// taken from this checkpoint, as
+    /// [`Session::resume`](crate::Session::resume) requires. The budget is
+    /// the caller's to choose.
     pub fn pin_fingerprint(&self, config: Config) -> Config {
         Config {
             mode: self.mode,
             rng_seed: self.rng_seed,
-            unfused_growth: self.unfused_growth,
             ..config
         }
     }
@@ -582,11 +573,11 @@ pub struct ShardCheckpoint {
 /// ```
 ///
 /// Decoding validates, beyond each inner checkpoint's own checks, the
-/// fleet invariants: shards strictly sorted by prefix, consistent
-/// mode/growth-path fingerprints, per-shard RNG seeds derived from the
-/// global seed, per-shard returns within each lease, and **budget
-/// conservation** — outstanding leases plus the unassigned pool equal
-/// the global budget exactly.
+/// fleet invariants: shards strictly sorted by prefix, one cluster mode
+/// across shards, per-shard RNG seeds derived from the global seed,
+/// per-shard returns within each lease, and **budget conservation** —
+/// outstanding leases plus the unassigned pool equal the global budget
+/// exactly.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardedCheckpoint {
     /// The fleet's global RNG seed (per-shard seeds derive from it).
@@ -699,9 +690,7 @@ impl ShardedCheckpoint {
                     "shards not strictly sorted by prefix",
                 ));
             }
-            if shard.engine.mode != self.shards[0].engine.mode
-                || shard.engine.unfused_growth != self.shards[0].engine.unfused_growth
-            {
+            if shard.engine.mode != self.shards[0].engine.mode {
                 return Err(CheckpointError::Invalid(
                     "shards disagree on the config fingerprint",
                 ));
@@ -735,20 +724,14 @@ impl ShardedCheckpoint {
     }
 
     /// `config` with the fleet's determinism fingerprint: the global
-    /// `rng_seed`, and `mode` and `unfused_growth` from the shards (which
-    /// decoding checks agree; an empty fleet keeps `config`'s). The budget
-    /// is the caller's to choose.
+    /// `rng_seed`, and `mode` from the shards (which decoding checks
+    /// agree; an empty fleet keeps `config`'s). The budget is the
+    /// caller's to choose.
     pub fn pin_fingerprint(&self, config: Config) -> Config {
-        let (mode, unfused_growth) = self
-            .shards
-            .first()
-            .map_or((config.mode, config.unfused_growth), |s| {
-                (s.engine.mode, s.engine.unfused_growth)
-            });
+        let mode = self.shards.first().map_or(config.mode, |s| s.engine.mode);
         Config {
             rng_seed: self.rng_seed,
             mode,
-            unfused_growth,
             ..config
         }
     }
@@ -863,7 +846,6 @@ mod tests {
     fn sample() -> EngineCheckpoint {
         EngineCheckpoint {
             mode: ClusterMode::Tight,
-            unfused_growth: false,
             rng_seed: 0x6CE4,
             budget: 500,
             rng_state: [1, 2, 3, 4],
@@ -950,15 +932,27 @@ mod tests {
             EngineCheckpoint::from_bytes(&wrong_magic),
             Err(CheckpointError::BadMagic)
         );
+        let resign = |mut bytes: Vec<u8>| {
+            let at = bytes.len() - 8;
+            let checksum = fnv1a(&bytes[..at]);
+            bytes[at..].copy_from_slice(&checksum.to_le_bytes());
+            bytes
+        };
         // A future version must be refused even with a valid checksum.
-        let mut future = sample().to_bytes();
+        let mut future = bytes.clone();
         future[4..6].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-        let checksum = fnv1a(&future[..bytes.len() - 8]);
-        let at = future.len() - 8;
-        future[at..].copy_from_slice(&checksum.to_le_bytes());
         assert_eq!(
-            EngineCheckpoint::from_bytes(&future),
+            EngineCheckpoint::from_bytes(&resign(future)),
             Err(CheckpointError::UnsupportedVersion(FORMAT_VERSION + 1))
+        );
+        // So must a version-1 file: the same state with the growth-path
+        // byte version 1 carried after the mode.
+        let mut v1 = bytes.clone();
+        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+        v1.insert(7, 0);
+        assert_eq!(
+            EngineCheckpoint::from_bytes(&resign(v1)),
+            Err(CheckpointError::UnsupportedVersion(1))
         );
     }
 
@@ -1168,28 +1162,20 @@ mod tests {
             threads: 3,
             ..Config::default()
         };
-        let mut engine = sample();
-        engine.unfused_growth = true;
-        let pinned = engine.pin_fingerprint(caller.clone());
+        let pinned = sample().pin_fingerprint(caller.clone());
         assert_eq!(pinned.mode, ClusterMode::Tight);
         assert_eq!(pinned.rng_seed, 0x6CE4);
-        assert!(pinned.unfused_growth);
         assert_eq!((pinned.budget, pinned.threads), (77, 3));
 
         let mut fleet = sample_sharded();
-        for shard in &mut fleet.shards {
-            shard.engine.unfused_growth = true;
-        }
         let pinned = fleet.pin_fingerprint(caller.clone());
         assert_eq!(pinned.mode, ClusterMode::Tight);
         assert_eq!(pinned.rng_seed, 0xFEED, "the global seed, not a shard's");
-        assert!(pinned.unfused_growth);
         assert_eq!((pinned.budget, pinned.threads), (77, 3));
 
         fleet.shards.clear();
         let pinned = fleet.pin_fingerprint(caller.clone());
         assert_eq!(pinned.mode, caller.mode, "an empty fleet keeps the caller's mode");
-        assert_eq!(pinned.unfused_growth, caller.unfused_growth);
         assert_eq!(pinned.rng_seed, 0xFEED);
     }
 }

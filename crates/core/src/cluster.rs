@@ -4,7 +4,6 @@
 use crate::draw::bounded_draw;
 use crate::ClusterMode;
 use sixgen_addr::{compare_density, NybbleAddr, NybbleTree, Range};
-use std::collections::HashSet;
 
 /// A 6Gen cluster: a range of address space and the number of seeds inside
 /// it.
@@ -114,11 +113,11 @@ pub struct GrowthEvaluation {
 ///    stream supplied by the engine so parallel evaluation stays
 ///    deterministic).
 ///
-/// The groups arrive in the same first-occurrence order the unfused
-/// [`evaluate_growth_unfused`] evaluates distinct ranges in, so both
-/// implementations draw identically from `tie_break` and return identical
-/// results — pinned by differential tests and the engine's
-/// `Config::unfused_growth` escape hatch.
+/// The groups arrive in the same first-occurrence order in which a naive
+/// search-then-count evaluation meets the distinct ranges, so both draw
+/// identically from `tie_break` and return identical results. The
+/// crate's unit tests check this against such a reference evaluation for
+/// every cache the engine refills.
 pub fn evaluate_growth(
     cluster: &Cluster,
     tree: &NybbleTree,
@@ -212,13 +211,11 @@ pub fn evaluate_growth_bounded(
 /// search ([`NybbleTree::nearest_outside`]) followed by one
 /// [`NybbleTree::count_in_range`] walk per distinct expanded range.
 ///
-/// Kept for differential testing (and selectable engine-wide via the
-/// hidden `Config::unfused_growth` flag): it must return byte-identical
-/// results to the fused path and consume the `tie_break` stream
-/// identically. It is O(candidates × range positions) slower in both
-/// allocation (materializes every candidate address) and counting (re-walks
-/// the tree per range), which is exactly what the fused traversal removes.
-pub fn evaluate_growth_unfused(
+/// Test-only: it must return byte-identical results to the fused path
+/// and consume the `tie_break` stream identically. The engine's unit-test
+/// builds compare every refilled cache against it.
+#[cfg(test)]
+pub(crate) fn evaluate_growth_unfused(
     cluster: &Cluster,
     tree: &NybbleTree,
     mode: ClusterMode,
@@ -241,7 +238,7 @@ pub fn evaluate_growth_unfused(
     // mode); evaluate each range once. The membership probe never clones —
     // duplicate-heavy candidate sets only pay a lookup, and a clone is
     // taken once per *distinct* range.
-    let mut seen: HashSet<Range> = HashSet::new();
+    let mut seen: std::collections::HashSet<Range> = std::collections::HashSet::new();
     for seed in candidates {
         candidate_count += 1;
         let range = match mode {

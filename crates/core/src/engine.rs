@@ -3,8 +3,7 @@
 
 use crate::budget::{BudgetTracker, Charge};
 use crate::checkpoint::{CachedCheckpoint, CheckpointError, EngineCheckpoint, SlotCheckpoint};
-use crate::cluster::{evaluate_growth_bounded, evaluate_growth_unfused, Cluster, Growth};
-use crate::draw::bounded_draw;
+use crate::cluster::{evaluate_growth_bounded, Cluster, Growth};
 use crate::outcome::{ClusterInfo, Outcome, RunStats, TargetSet, Termination};
 use crate::select::{SelectKey, SelectTree};
 use crate::Config;
@@ -50,14 +49,14 @@ impl SelectKey {
     }
 }
 
-/// Round-loop acceleration structures for the default execution mode.
+/// The round loop's selection and subsumption structures.
 ///
-/// The reference round loop (kept behind [`Config::scan_round`]) pays
-/// O(clusters) per round twice: a full scan of the key array to select
-/// the best growth, and a full swap-compaction pass to delete subsumed
-/// clusters. Both scans are replaced here by structures maintained
-/// incrementally at the O(1)-per-round mutation points (one commit, a
-/// handful of subsumptions), so a round costs O(affected + log N):
+/// A full-scan round loop pays O(clusters) per round twice: a scan of
+/// every cached key to select the best growth, and a compaction pass to
+/// delete subsumed clusters. Both scans are replaced here by structures
+/// maintained at the O(1)-per-round mutation points (one refill, one
+/// commit, a handful of subsumptions), so a round costs
+/// O(affected + log N):
 ///
 /// * **selection** — a tournament tree over the keys ([`SelectTree`])
 ///   that replays the scan's tie-break draw stream exactly;
@@ -72,12 +71,16 @@ impl SelectKey {
 ///
 /// Instead of compacting the slot arrays, subsumed slots are
 /// **tombstoned in place** (`live[i] = false`, key set to
-/// [`SelectKey::NONE`] so the tree never selects them). Because the
-/// scan mode's swap-compaction is stable, the live slots appear in the
-/// same relative order in both modes — which makes the scan order of
-/// ready keys, and therefore the whole RNG draw stream, identical.
-/// [`Session::checkpoint`] live-compacts, so checkpoints are
-/// byte-identical across modes too.
+/// [`SelectKey::NONE`] so the tree never selects them). Live slots thus
+/// keep the relative order a stable compaction would leave, which is the
+/// order the scan's tie-break draws run over, and
+/// [`Session::checkpoint`] live-compacts them, so a checkpoint holds the
+/// slot list of an eagerly compacting loop.
+///
+/// In this crate's unit-test builds [`Session::step`] checks both
+/// structures against full scans every round: the select tree against
+/// `select::scan_reference` on a clone of the run RNG, the kills against
+/// a subset test of every live slot's packed masks.
 #[derive(Debug)]
 struct IncrementalState {
     /// Liveness flags, parallel to `slots`. Slot counts never grow after
@@ -85,7 +88,7 @@ struct IncrementalState {
     /// kills), so all parallel structures are sized once.
     live: Vec<bool>,
     live_count: usize,
-    /// Tournament tree over the key array.
+    /// Tournament tree over the slots' select keys.
     select: SelectTree,
     /// Distinct minimum addresses of live clusters (set semantics: an
     /// address stays while any live cluster has it as its minimum).
@@ -97,11 +100,12 @@ struct IncrementalState {
 }
 
 impl IncrementalState {
-    fn build(slots: &[Slot], keys: &[SelectKey]) -> IncrementalState {
+    fn build(slots: &[Slot]) -> IncrementalState {
+        let keys: Vec<SelectKey> = slots.iter().map(|s| SelectKey::of(&s.cached)).collect();
         let mut state = IncrementalState {
             live: vec![true; slots.len()],
             live_count: slots.len(),
-            select: SelectTree::from_keys(keys),
+            select: SelectTree::from_keys(&keys),
             min_tree: NybbleTree::new(),
             slots_by_min: HashMap::with_capacity(slots.len()),
         };
@@ -511,17 +515,13 @@ impl SixGen {
             state = splitmix64(state);
             state
         };
-        let eval = if self.config.unfused_growth {
-            evaluate_growth_unfused(cluster, &self.shared.tree, self.config.mode, tie_break)
-        } else {
-            evaluate_growth_bounded(
-                cluster,
-                &self.shared.tree,
-                self.config.mode,
-                self.distance_hint(&cluster.range),
-                tie_break,
-            )
-        };
+        let eval = evaluate_growth_bounded(
+            cluster,
+            &self.shared.tree,
+            self.config.mode,
+            self.distance_hint(&cluster.range),
+            tie_break,
+        );
         span.attr("candidates", eval.candidates);
         span.attr("ranges_evaluated", eval.ranges_evaluated);
         if let Some(growth) = &eval.growth {
@@ -571,8 +571,8 @@ pub enum Step {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResumeError {
     /// The config disagrees with the checkpoint on a fingerprint field
-    /// (`mode`, `rng_seed`, or `unfused_growth`) — resuming would break
-    /// the byte-identical-continuation guarantee.
+    /// (`mode` or `rng_seed`) — resuming would break the
+    /// byte-identical-continuation guarantee.
     ConfigMismatch {
         /// The disagreeing [`Config`] field.
         field: &'static str,
@@ -641,23 +641,23 @@ impl std::error::Error for ResumeError {}
 #[derive(Debug)]
 pub struct Session {
     engine: SixGen,
+    /// Cluster slots in seed order. Slots are never added after start and
+    /// subsumed ones stay in place as tombstones (see
+    /// [`IncrementalState`]), so a slot index names one cluster for the
+    /// whole session.
     slots: Vec<Slot>,
-    /// Compact selection keys, parallel to `slots` (see [`SelectKey`]).
-    keys: Vec<SelectKey>,
-    /// Packed range masks, parallel to `slots`: the subsumption scan
-    /// tests every live cluster against each newly grown range, and
-    /// reading four words per cluster beats re-deriving 32 set
-    /// comparisons from the full `Slot` every round.
+    /// Packed range masks, parallel to `slots`: the subsumption test
+    /// reads four words per candidate instead of re-deriving 32 set
+    /// comparisons from the full `Slot`.
     packed: Vec<PackedMasks>,
     /// Incremental cache invalidation (§5.5): exactly which slots are
     /// stale, instead of rescanning every slot each round. After
     /// initialization that is everyone; after each commit, only the
     /// grown cluster.
     stale_indices: Vec<usize>,
-    /// Incremental select/subsume structures (`None` when
-    /// [`Config::scan_round`] requests the reference full-scan round
-    /// loop). See [`IncrementalState`] for the equivalence argument.
-    incremental: Option<IncrementalState>,
+    /// Liveness, the select tree over the cached keys, and the
+    /// min-address subsumption index (see [`IncrementalState`]).
+    incremental: IncrementalState,
     rng: StdRng,
     budget: BudgetTracker,
     rounds: u64,
@@ -730,15 +730,12 @@ impl Session {
             }
         }
         let stale_indices: Vec<usize> = (0..slots.len()).collect();
-        let keys = vec![SelectKey::NONE; slots.len()];
         let packed = slots.iter().map(|s| s.cluster.range.packed_masks()).collect();
-        let incremental =
-            (!engine.config.scan_round).then(|| IncrementalState::build(&slots, &keys));
+        let incremental = IncrementalState::build(&slots);
         let session = Session {
             rng: StdRng::seed_from_u64(engine.config.rng_seed),
             engine,
             slots,
-            keys,
             packed,
             stale_indices,
             incremental,
@@ -781,7 +778,7 @@ impl Session {
     /// run byte-identically.
     ///
     /// `config` must agree with the checkpoint on the determinism
-    /// fingerprint (`mode`, `rng_seed`, `unfused_growth`); `budget` may be
+    /// fingerprint (`mode`, `rng_seed`); `budget` may be
     /// *raised* to top up a finished-or-nearly-finished run (never lowered
     /// below what was already generated); `threads`, `metrics`, `trace`,
     /// `time_limit`, and `cancel` are free — none of them affect the
@@ -793,11 +790,6 @@ impl Session {
         }
         if config.rng_seed != checkpoint.rng_seed {
             return Err(ResumeError::ConfigMismatch { field: "rng_seed" });
-        }
-        if config.unfused_growth != checkpoint.unfused_growth {
-            return Err(ResumeError::ConfigMismatch {
-                field: "unfused_growth",
-            });
         }
         // A decoded checkpoint has already passed these checks; re-run
         // them so hand-constructed checkpoints get the same scrutiny.
@@ -860,17 +852,14 @@ impl Session {
                 },
             })
             .collect();
-        // Keys and packed masks are caches over the slots; at a round
-        // boundary both are exactly what `SelectKey::of` / `packed_masks`
-        // derive, so they are rebuilt rather than serialized. The same
-        // goes for the incremental structures: a checkpoint holds only
-        // live, compacted slots, so rebuilding them deterministically is
-        // a pure function of the slot list — and the checkpoint never
-        // records which execution mode produced it.
-        let keys: Vec<SelectKey> = slots.iter().map(|s| SelectKey::of(&s.cached)).collect();
+        // Packed masks, select keys and the min-address index are caches
+        // over the slots; at a round boundary they are exactly what
+        // `packed_masks` / `SelectKey::of` / `min_address` derive, so they
+        // are rebuilt rather than serialized. A checkpoint holds only
+        // live, compacted slots, so the rebuild is a pure function of the
+        // slot list.
         let packed = slots.iter().map(|s| s.cluster.range.packed_masks()).collect();
-        let incremental =
-            (!engine.config.scan_round).then(|| IncrementalState::build(&slots, &keys));
+        let incremental = IncrementalState::build(&slots);
         let stale_indices = checkpoint
             .stale
             .iter()
@@ -881,7 +870,6 @@ impl Session {
             rng: StdRng::from_state(checkpoint.rng_state),
             engine,
             slots,
-            keys,
             packed,
             stale_indices,
             incremental,
@@ -920,35 +908,28 @@ impl Session {
     /// round boundaries of in-progress runs (as
     /// [`run_with`](Session::run_with) hooks naturally do).
     pub fn checkpoint(&self) -> EngineCheckpoint {
-        // Incremental mode tombstones subsumed slots in place; the
-        // checkpoint live-compacts them away and remaps stale indices to
-        // live *ranks* (live slots strictly before the index), so the
-        // snapshot is byte-identical to scan mode's eagerly-compacted
-        // one. That identity is what keeps the execution mode out of the
-        // resume fingerprint: a checkpoint taken in either mode resumes
-        // in either mode.
-        let live = |i: usize| self.incremental.as_ref().is_none_or(|inc| inc.live[i]);
-        let stale: Vec<u64> = match &self.incremental {
-            None => self.stale_indices.iter().map(|&i| i as u64).collect(),
-            Some(inc) => {
-                let mut rank = vec![0u64; self.slots.len()];
-                let mut live_before = 0u64;
-                for (i, r) in rank.iter_mut().enumerate() {
-                    *r = live_before;
-                    live_before += u64::from(inc.live[i]);
-                }
-                self.stale_indices
-                    .iter()
-                    .map(|&i| {
-                        debug_assert!(inc.live[i], "a dead slot can never be stale");
-                        rank[i]
-                    })
-                    .collect()
-            }
-        };
+        // Subsumed slots are tombstoned in place; the checkpoint
+        // live-compacts them away and remaps stale indices to live
+        // *ranks* (live slots strictly before the index), so the file
+        // holds only live clusters and a resume rebuilds the structures
+        // from them.
+        let live = &self.incremental.live;
+        let mut rank = vec![0u64; self.slots.len()];
+        let mut live_before = 0u64;
+        for (i, r) in rank.iter_mut().enumerate() {
+            *r = live_before;
+            live_before += u64::from(live[i]);
+        }
+        let stale: Vec<u64> = self
+            .stale_indices
+            .iter()
+            .map(|&i| {
+                debug_assert!(live[i], "a dead slot can never be stale");
+                rank[i]
+            })
+            .collect();
         EngineCheckpoint {
             mode: self.engine.config.mode,
-            unfused_growth: self.engine.config.unfused_growth,
             rng_seed: self.engine.config.rng_seed,
             budget: self.budget.budget(),
             rng_state: self.rng.state(),
@@ -963,7 +944,7 @@ impl Session {
                 .slots
                 .iter()
                 .enumerate()
-                .filter(|&(i, _)| live(i))
+                .filter(|&(i, _)| live[i])
                 .map(|(_, s)| SlotCheckpoint {
                     range: s.cluster.range.clone(),
                     seed_count: s.cluster.seed_count,
@@ -1003,9 +984,9 @@ impl Session {
         let mut phase_ns = sixgen_obs::PhaseNanos::default();
 
         let phase_started = Instant::now();
+        let stale_now = std::mem::take(&mut self.stale_indices);
         {
             let mut span = maybe_span(trace, "engine", "cache_fill", self.root);
-            let stale_now = std::mem::take(&mut self.stale_indices);
             self.cpu_time += self.engine.fill_caches(
                 &mut self.slots,
                 &stale_now,
@@ -1016,16 +997,13 @@ impl Session {
                 self.pool.as_ref(),
                 self.threads,
             );
-            for &i in &stale_now {
-                self.keys[i] = SelectKey::of(&self.slots[i].cached);
-            }
             // Event-driven refill propagation: the freshly computed keys
             // are pushed into the select tree here, at the only point
             // they change, instead of rebuilding anything per round.
-            if let Some(inc) = &mut self.incremental {
-                for &i in &stale_now {
-                    inc.select.set(i, self.keys[i]);
-                }
+            for &i in &stale_now {
+                self.incremental
+                    .select
+                    .set(i, SelectKey::of(&self.slots[i].cached));
             }
             span.attr("clusters", self.live_cluster_count() as u64);
         }
@@ -1033,6 +1011,14 @@ impl Session {
         phase_ns.cache_fill = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
         if let Some(m) = &self.metrics {
             m.cache_fill.record(elapsed);
+        }
+        // Injected panics write clusters off as exhausted, which no
+        // reference evaluation reproduces.
+        #[cfg(test)]
+        if self.engine.config.panic_injection.is_none() {
+            for &i in &stale_now {
+                self.engine.check_refill(&self.slots[i]);
+            }
         }
 
         // Deadline and cancellation checks (once per round, after the
@@ -1054,54 +1040,24 @@ impl Session {
         // Select the globally best cached growth: maximum density, then
         // smallest range, then uniformly at random among exact ties
         // (reservoir over scan order keeps this deterministic).
+        #[cfg(test)]
+        let scan = self.scan_select();
         let rng_at_boundary = self.rng.state();
         let phase_started = Instant::now();
         let mut select_span = maybe_span(trace, "engine", "select", self.root);
         select_span.attr("clusters", self.live_cluster_count() as u64);
         let rng = &mut self.rng;
-        let best_index: Option<usize> = match &self.incremental {
-            // Tournament-tree selection: same winner, same tie-break
-            // draw stream as the scan below, in O(eras · log N + draws)
-            // instead of O(clusters + draws). See `SelectTree::select`.
-            Some(inc) => inc.select.select(|| rng.gen::<u64>()),
-            // Reference scan over the compact key array; the comparison
-            // and tie-break logic (and therefore the RNG draw sequence)
-            // are identical to comparing the cached growths directly,
-            // pinned by SelectKey::preference's contract.
-            None => {
-                let mut best_index: Option<usize> = None;
-                let mut best_key = SelectKey::NONE;
-                let mut ties: u64 = 0;
-                for (i, key) in self.keys.iter().enumerate() {
-                    if !key.is_ready() {
-                        continue;
-                    }
-                    match best_index {
-                        None => {
-                            best_index = Some(i);
-                            best_key = *key;
-                            ties = 1;
-                        }
-                        Some(_) => match key.preference(&best_key) {
-                            core::cmp::Ordering::Greater => {
-                                best_index = Some(i);
-                                best_key = *key;
-                                ties = 1;
-                            }
-                            core::cmp::Ordering::Equal => {
-                                ties += 1;
-                                if bounded_draw(|| rng.gen::<u64>(), ties) == 0 {
-                                    best_index = Some(i);
-                                    best_key = *key;
-                                }
-                            }
-                            core::cmp::Ordering::Less => {}
-                        },
-                    }
-                }
-                best_index
-            }
-        };
+        // Tournament-tree selection: the scan's winner and tie-break
+        // draw stream in O(eras · log N + draws) instead of
+        // O(clusters + draws). See `SelectTree::select`.
+        let best_index = self.incremental.select.select(|| rng.gen::<u64>());
+        #[cfg(test)]
+        assert_eq!(
+            (best_index, self.rng.state()),
+            scan,
+            "select tree and reference scan diverged in round {}",
+            self.rounds
+        );
         drop(select_span);
         let elapsed = phase_started.elapsed();
         phase_ns.select = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
@@ -1166,16 +1122,14 @@ impl Session {
             },
             cached: Cached::Stale,
         };
-        self.keys[grown_index] = SelectKey::NONE;
         self.packed[grown_index] = self.slots[grown_index].cluster.range.packed_masks();
         let new_packed = self.packed[grown_index];
-        if let Some(inc) = &mut self.incremental {
-            inc.select.set(grown_index, SelectKey::NONE);
-            let new_min = self.slots[grown_index].cluster.range.min_address();
-            if new_min != old_min {
-                inc.remove_min(old_min, grown_index);
-                inc.add_min(new_min, grown_index);
-            }
+        let inc = &mut self.incremental;
+        inc.select.set(grown_index, SelectKey::NONE);
+        let new_min = self.slots[grown_index].cluster.range.min_address();
+        if new_min != old_min {
+            inc.remove_min(old_min, grown_index);
+            inc.add_min(new_min, grown_index);
         }
         drop(commit_span);
         let elapsed = phase_started.elapsed();
@@ -1185,88 +1139,58 @@ impl Session {
         }
         let phase_started = Instant::now();
         let mut subsume_span = maybe_span(trace, "engine", "subsume", self.root);
-        let (killed, grown_stale_index) = match &mut self.incremental {
-            // Min-address candidate enumeration: every cluster subsumed
-            // by the new range has its minimum address inside it, so the
-            // range query over the distinct live minima yields a complete
-            // candidate set — typically the handful of clusters actually
-            // subsumed plus the grown cluster itself — and each candidate
-            // is verified with the exact subset test. Survivors are
-            // untouched, so the round costs O(candidates), not
-            // O(clusters).
-            Some(inc) => {
-                let new_range = self.slots[grown_index].cluster.range.clone();
-                let mut candidates: Vec<u32> = Vec::new();
-                let slots_by_min = &inc.slots_by_min;
-                inc.min_tree.for_each_in_range(&new_range, |min| {
-                    if let Some(entries) = slots_by_min.get(&min.bits()) {
-                        candidates.extend_from_slice(entries);
-                    }
-                });
-                candidates.sort_unstable();
-                let mut killed = 0u64;
-                for &c in &candidates {
-                    let i = c as usize;
-                    if i == grown_index || !self.packed[i].is_subset(&new_packed) {
-                        continue;
-                    }
-                    debug_assert!(inc.live[i], "the min index holds only live slots");
-                    // Tombstone in place: the slot keeps its position so
-                    // the live-slot order (and with it the select draw
-                    // stream) matches scan mode's stable compaction.
-                    inc.live[i] = false;
-                    inc.live_count -= 1;
-                    self.keys[i] = SelectKey::NONE;
-                    inc.select.set(i, SelectKey::NONE);
-                    // Dead slots must not read as stale — `fill_caches`
-                    // asserts the stale list is exact.
-                    self.slots[i].cached = Cached::Exhausted;
-                    let min = self.slots[i].cluster.range.min_address();
-                    inc.remove_min(min, i);
-                    killed += 1;
-                }
-                (killed, grown_index)
+        #[cfg(test)]
+        let scan_live = self.scan_subsume(grown_index, &new_packed);
+        // Min-address candidate enumeration: every cluster subsumed by
+        // the new range has its minimum address inside it, so the range
+        // query over the distinct live minima yields a complete candidate
+        // set — typically the handful of clusters actually subsumed plus
+        // the grown cluster itself — and each candidate is verified with
+        // the exact subset test. Survivors are untouched, so the round
+        // costs O(candidates), not O(clusters).
+        let inc = &mut self.incremental;
+        let new_range = self.slots[grown_index].cluster.range.clone();
+        let mut candidates: Vec<u32> = Vec::new();
+        let slots_by_min = &inc.slots_by_min;
+        inc.min_tree.for_each_in_range(&new_range, |min| {
+            if let Some(entries) = slots_by_min.get(&min.bits()) {
+                candidates.extend_from_slice(entries);
             }
-            // Reference path: compact `slots`, `packed`, and `keys` in
-            // one swap-based pass. The subset test reads only the packed
-            // mask array (four words per cluster), survivors swap down
-            // into place (stably — relative order is preserved), and
-            // everything past the write cursor dies at truncate. The
-            // grown cluster's position is tracked through the
-            // compaction; it is the round's only stale cache (see
-            // `fill_caches` for why no other cache can be invalidated
-            // by this commit).
-            None => {
-                let before = self.slots.len();
-                let mut write = 0;
-                let mut grown_new_index = grown_index;
-                for read in 0..self.slots.len() {
-                    let keep = read == grown_index || !self.packed[read].is_subset(&new_packed);
-                    if keep {
-                        if read == grown_index {
-                            grown_new_index = write;
-                        }
-                        if read != write {
-                            self.slots.swap(read, write);
-                            self.packed[write] = self.packed[read];
-                            self.keys[write] = self.keys[read];
-                        }
-                        write += 1;
-                    }
-                }
-                self.slots.truncate(write);
-                self.packed.truncate(write);
-                self.keys.truncate(write);
-                ((before - write) as u64, grown_new_index)
+        });
+        candidates.sort_unstable();
+        let mut killed = 0u64;
+        for &c in &candidates {
+            let i = c as usize;
+            if i == grown_index || !self.packed[i].is_subset(&new_packed) {
+                continue;
             }
-        };
+            debug_assert!(inc.live[i], "the min index holds only live slots");
+            // Tombstone in place: the slot keeps its position so the
+            // live-slot order (and with it the select draw stream) is
+            // the one a stable compaction would leave.
+            inc.live[i] = false;
+            inc.live_count -= 1;
+            inc.select.set(i, SelectKey::NONE);
+            // Dead slots must not read as stale — `fill_caches` asserts
+            // the stale list is exact.
+            self.slots[i].cached = Cached::Exhausted;
+            let min = self.slots[i].cluster.range.min_address();
+            inc.remove_min(min, i);
+            killed += 1;
+        }
+        #[cfg(test)]
+        assert_eq!(
+            self.incremental.live, scan_live,
+            "min-address subsumption and a full scan diverged in round {}",
+            self.rounds
+        );
         // The grown cluster is the round's only new stale cache. The
         // membership guard is defensive: `step` drains the stale list at
         // the top of every round, so the push can never duplicate today,
         // but a duplicated entry would recompute a growth twice and trip
         // the exactness asserts in `fill_caches`.
-        if !self.stale_indices.contains(&grown_stale_index) {
-            self.stale_indices.push(grown_stale_index);
+        if !self.stale_indices.contains(&grown_index) {
+            self.stale_indices.push(grown_index);
         }
         self.subsumed += killed;
         subsume_span.attr("subsumed", killed);
@@ -1366,12 +1290,12 @@ impl Session {
         let termination = self
             .done
             .expect("finish() requires a terminated session; step() until Step::Done");
-        let incremental = self.incremental.take();
+        let live = std::mem::take(&mut self.incremental.live);
         let clusters = self
             .slots
             .into_iter()
             .enumerate()
-            .filter(|&(i, _)| incremental.as_ref().is_none_or(|inc| inc.live[i]))
+            .filter(|&(i, _)| live[i])
             .map(|(_, s)| ClusterInfo {
                 range_size: s.cluster.range.size(),
                 seed_count: s.cluster.seed_count,
@@ -1463,12 +1387,104 @@ impl Session {
         self.live_cluster_count()
     }
 
-    /// Live clusters: in incremental mode dead slots are tombstoned in
-    /// place, so the slot count over-reports.
+    /// Live clusters: dead slots are tombstoned in place, so the slot
+    /// count over-reports.
     fn live_cluster_count(&self) -> usize {
-        self.incremental
-            .as_ref()
-            .map_or(self.slots.len(), |inc| inc.live_count)
+        self.incremental.live_count
+    }
+}
+
+/// The reference computations behind the round checks that
+/// [`Session::step`] runs in this crate's unit-test builds. Each check
+/// asserts outside every `catch_unwind`, so a mismatch fails the test
+/// instead of being recovered as a growth-worker panic.
+#[cfg(test)]
+impl SixGen {
+    /// Growth check: a refilled cache must equal the unfused reference
+    /// evaluation of its cluster, and the fused and unfused evaluations
+    /// must draw the same number of words from the cluster's tie-break
+    /// stream.
+    fn check_refill(&self, slot: &Slot) {
+        let cluster = &slot.cluster;
+        let seed = splitmix64_seed(
+            self.config.rng_seed,
+            cluster.range.min_address().bits(),
+            cluster.range.size(),
+        );
+        let evaluate = |fused: bool| {
+            let mut state = seed;
+            let mut draws = 0u64;
+            let tie_break = || {
+                draws += 1;
+                state = splitmix64(state);
+                state
+            };
+            let eval = if fused {
+                let hint = self.distance_hint(&cluster.range);
+                evaluate_growth_bounded(
+                    cluster,
+                    &self.shared.tree,
+                    self.config.mode,
+                    hint,
+                    tie_break,
+                )
+            } else {
+                crate::cluster::evaluate_growth_unfused(
+                    cluster,
+                    &self.shared.tree,
+                    self.config.mode,
+                    tie_break,
+                )
+            };
+            (eval, draws)
+        };
+        let (fused, fused_draws) = evaluate(true);
+        let (unfused, unfused_draws) = evaluate(false);
+        let cached = match &slot.cached {
+            Cached::Ready(growth) => Some(growth),
+            Cached::Exhausted => None,
+            Cached::Stale => panic!("refill left {} stale", cluster.range),
+        };
+        assert_eq!(
+            cached,
+            unfused.growth.as_ref(),
+            "cached growth of {} differs from the unfused evaluation",
+            cluster.range
+        );
+        assert_eq!(
+            fused, unfused,
+            "fused and unfused evaluations of {} differ",
+            cluster.range
+        );
+        assert_eq!(
+            fused_draws, unfused_draws,
+            "fused and unfused evaluations of {} drew different tie-break counts",
+            cluster.range
+        );
+    }
+}
+
+#[cfg(test)]
+impl Session {
+    /// Selection check: the reference scan over the select tree's keys,
+    /// run on a clone of the run RNG. Returns the slot it picks and the
+    /// RNG state it leaves, which the tree must reproduce.
+    fn scan_select(&self) -> (Option<usize>, [u64; 4]) {
+        let mut rng = self.rng.clone();
+        let keys = self.incremental.select.keys();
+        let index = crate::select::scan_reference(&keys, || rng.gen::<u64>());
+        (index, rng.state())
+    }
+
+    /// Subsumption check: the liveness a full scan leaves after
+    /// `grown` commits, killing every other live slot whose packed
+    /// masks are a subset of `new_packed`.
+    fn scan_subsume(&self, grown: usize, new_packed: &PackedMasks) -> Vec<bool> {
+        (0..self.slots.len())
+            .map(|i| {
+                self.incremental.live[i] && (i == grown || !self.packed[i].is_subset(new_packed))
+            })
+            .collect()
     }
 }
 
@@ -2001,12 +2017,13 @@ mod tests {
         assert_eq!(off, disabled);
     }
 
+    /// Every refill of this world goes through the growth check (the
+    /// unfused reference evaluation, with the same tie-break draws), at
+    /// one thread and with parallel fills on four; both thread counts
+    /// must give byte-identical targets, stats and deterministic
+    /// metrics.
     #[test]
-    fn fused_and_unfused_engines_are_byte_identical() {
-        // The hidden `unfused_growth` flag routes every growth evaluation
-        // through the reference implementation. Targets, clusters, stats,
-        // and the deterministic metrics section must all be byte-identical
-        // to the fused default, in both modes and under parallelism.
+    fn growth_checks_hold_at_one_and_four_threads() {
         let seeds: Vec<NybbleAddr> = (0..150u32)
             .map(|i| {
                 NybbleAddr::from_bits(
@@ -2015,42 +2032,91 @@ mod tests {
             })
             .collect();
         for mode in [ClusterMode::Loose, ClusterMode::Tight] {
-            for threads in [1, 4] {
-                let run_with = |unfused: bool| {
-                    let registry = MetricsRegistry::shared();
-                    let outcome = SixGen::new(
-                        seeds.clone(),
-                        Config {
-                            mode,
-                            threads,
-                            budget: 3000,
-                            unfused_growth: unfused,
-                            metrics: Some(Arc::clone(&registry)),
-                            ..Config::default()
-                        },
-                    )
-                    .run();
-                    (outcome, registry.deterministic_json())
-                };
-                let (fused, fused_metrics) = run_with(false);
-                let (unfused, unfused_metrics) = run_with(true);
+            let run_with = |threads: usize| {
+                let registry = MetricsRegistry::shared();
+                let outcome = SixGen::new(
+                    seeds.clone(),
+                    Config {
+                        mode,
+                        threads,
+                        budget: 3000,
+                        metrics: Some(Arc::clone(&registry)),
+                        ..Config::default()
+                    },
+                )
+                .run();
+                (outcome, registry.deterministic_json())
+            };
+            let (serial, serial_metrics) = run_with(1);
+            let (parallel, parallel_metrics) = run_with(4);
+            assert!(
+                serial.stats.growths > 5,
+                "{mode:?}: workload must be multi-round"
+            );
+            assert_eq!(
+                serial.targets.as_slice(),
+                parallel.targets.as_slice(),
+                "targets diverged ({mode:?})"
+            );
+            assert_eq!(serial.stats.growths, parallel.stats.growths);
+            assert_eq!(serial.stats.subsumed, parallel.stats.subsumed);
+            assert_eq!(serial.stats.termination, parallel.stats.termination);
+            assert_eq!(serial.clusters.len(), parallel.clusters.len());
+            assert_eq!(
+                serial_metrics, parallel_metrics,
+                "deterministic metrics diverged ({mode:?})"
+            );
+        }
+    }
+
+    /// Ten dense three-seed groups plus five stragglers one nybble off a
+    /// group member: tie-heavy, so selection draws from the run RNG every
+    /// round, and each straggler is subsumed once its group's range grows
+    /// over it. Every round of every run here goes through the select,
+    /// subsume and growth checks, including the runs resumed from a
+    /// checkpoint taken after tombstones exist.
+    #[test]
+    fn round_checks_hold_on_tie_heavy_world() {
+        let mut seeds: Vec<NybbleAddr> = (0..30u32)
+            .map(|i| {
+                let group = (i / 3 + 1) as u128 * 0x111;
+                let host = (i % 3) as u128;
+                NybbleAddr::from_bits(0x2001_0db8 << 96 | group << 4 | host)
+            })
+            .collect();
+        seeds.extend(
+            (1..=5u128).map(|g| NybbleAddr::from_bits(0x2001_0db8 << 96 | (g * 0x111) << 4 | 8)),
+        );
+        for mode in [ClusterMode::Loose, ClusterMode::Tight] {
+            let config = Config {
+                mode,
+                budget: 400,
+                ..Config::default()
+            };
+            let baseline = SixGen::new(seeds.clone(), config.clone()).run();
+            assert!(
+                baseline.stats.rounds > 5,
+                "{mode:?}: workload must be multi-round"
+            );
+            assert!(
+                baseline.stats.subsumed >= 1,
+                "{mode:?}: workload must subsume"
+            );
+            for k in (0..baseline.stats.rounds).step_by(2) {
+                let mut session = SixGen::new(seeds.clone(), config.clone()).session();
+                for _ in 0..k {
+                    assert_eq!(session.step(), Step::Grew, "boundary {k} not reachable");
+                }
+                let bytes = session.checkpoint().to_bytes();
+                let checkpoint = EngineCheckpoint::from_bytes(&bytes).unwrap();
+                let resumed = Session::resume(checkpoint, config.clone()).unwrap().run();
                 assert_eq!(
-                    fused.targets.as_slice(),
-                    unfused.targets.as_slice(),
-                    "targets diverged ({mode:?}, {threads} threads)"
+                    baseline.targets.as_slice(),
+                    resumed.targets.as_slice(),
+                    "{mode:?}: resume at boundary {k} diverged"
                 );
-                assert_eq!(fused.stats.growths, unfused.stats.growths);
-                assert_eq!(fused.stats.subsumed, unfused.stats.subsumed);
-                assert_eq!(fused.stats.termination, unfused.stats.termination);
-                assert_eq!(
-                    fused.clusters.len(),
-                    unfused.clusters.len(),
-                    "cluster sets diverged ({mode:?}, {threads} threads)"
-                );
-                assert_eq!(
-                    fused_metrics, unfused_metrics,
-                    "deterministic metrics diverged ({mode:?}, {threads} threads)"
-                );
+                assert_eq!(baseline.stats.subsumed, resumed.stats.subsumed);
+                assert_eq!(baseline.clusters.len(), resumed.clusters.len());
             }
         }
     }

@@ -64,9 +64,7 @@ pub use checkpoint::{
     CachedCheckpoint, CheckpointError, CheckpointWriter, EngineCheckpoint, ShardCheckpoint,
     ShardedCheckpoint, SlotCheckpoint, FORMAT_VERSION, SHARDED_FORMAT_VERSION, SHARDED_MAGIC,
 };
-pub use cluster::{
-    best_growth, evaluate_growth, evaluate_growth_unfused, Cluster, Growth, GrowthEvaluation,
-};
+pub use cluster::{best_growth, evaluate_growth, Cluster, Growth, GrowthEvaluation};
 pub use draw::bounded_draw;
 pub use engine::{run, run_grouped, ResumeError, Session, SixGen, Step};
 pub use outcome::{ClusterInfo, Outcome, RunStats, TargetSet, Termination};
@@ -162,25 +160,6 @@ pub struct Config {
     /// the stable API.
     #[doc(hidden)]
     pub panic_injection: Option<PanicInjection>,
-    /// Test hook: route growth evaluation through the unfused reference
-    /// implementation ([`evaluate_growth_unfused`]: candidate search, then
-    /// one counting walk per distinct range) instead of the fused
-    /// single-walk traversal. Both paths must produce byte-identical
-    /// outcomes and deterministic metrics; differential tests flip this
-    /// flag to prove it. Not part of the stable API.
-    #[doc(hidden)]
-    pub unfused_growth: bool,
-    /// Test hook: execute the per-round selection and subsumption phases
-    /// with the reference full-scan implementations instead of the
-    /// incremental structures (tournament select tree, min-address
-    /// subsumption index). Both paths must produce byte-identical targets,
-    /// growth order, RNG draw streams, deterministic metrics, and
-    /// checkpoints; differential tests flip this flag to prove it. The
-    /// flag is not part of the checkpoint fingerprint — a checkpoint
-    /// taken in either mode resumes in either mode. Not part of the
-    /// stable API.
-    #[doc(hidden)]
-    pub scan_round: bool,
 }
 
 /// Test hook describing when growth evaluation should deliberately panic,
@@ -213,8 +192,6 @@ impl Default for Config {
             events: None,
             shard_id: 0,
             panic_injection: None,
-            unfused_growth: false,
-            scan_round: false,
         }
     }
 }

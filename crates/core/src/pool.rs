@@ -58,8 +58,9 @@ std::thread_local! {
 }
 
 /// Resolves a thread-count setting ([`Config::threads`], the fleet's
-/// `workers`): `0` means the machine's available parallelism, which costs
-/// a system call, so callers resolve once and keep the result.
+/// `workers`, [`WorkerPool::new`]'s `workers`): `0` means the machine's
+/// available parallelism, which costs a system call, so callers resolve
+/// once and keep the result.
 ///
 /// [`Config::threads`]: crate::Config::threads
 pub(crate) fn resolve_threads(threads: usize) -> usize {
@@ -93,9 +94,12 @@ struct Batch {
 }
 
 impl WorkerPool {
-    /// Spawns a pool with `workers` threads (at least 1).
+    /// Spawns a pool with `workers` threads; `0` means the machine's
+    /// available parallelism, as for [`Config::threads`].
+    ///
+    /// [`Config::threads`]: crate::Config::threads
     pub fn new(workers: usize) -> WorkerPool {
-        let workers = workers.max(1);
+        let workers = resolve_threads(workers);
         let shared = Arc::new(Shared {
             queues: Mutex::new(Queues {
                 injector: VecDeque::new(),
@@ -269,6 +273,11 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+
+    #[test]
+    fn zero_workers_means_available_parallelism() {
+        assert_eq!(WorkerPool::new(0).workers(), resolve_threads(0));
+    }
 
     #[test]
     fn batch_runs_all_jobs() {

@@ -3,9 +3,9 @@
 //!
 //! ## What the scan does
 //!
-//! The reference implementation (kept behind `Config::scan_round`) walks the
-//! key array in slot order carrying a running best. Each ready key compares
-//! against the running best with [`SelectKey::preference`]:
+//! The reference scan (`scan_reference`, compiled only for tests) walks
+//! the key array in slot order carrying a running best. Each ready key
+//! compares against the running best with [`SelectKey::preference`]:
 //!
 //! * `Greater` — the key becomes the new running best, tie count resets to 1;
 //! * `Equal`  — the tie count increments to `t` and the scan draws
@@ -39,17 +39,26 @@
 //! O(era structure) + O(ties of the running best), the latter typically
 //! dominated by dense singleton populations whose cached growths tie
 //! exactly.
+//!
+//! ## How the equivalence is checked
+//!
+//! In this crate's unit-test builds the engine runs `scan_reference` on a
+//! clone of the run RNG before every selection and asserts that the tree
+//! picks the same slot and leaves the RNG in the same state, so every
+//! unit test that steps a session checks the tree round by round.
+//! Release builds carry neither the scan nor the check.
 
 use crate::draw::bounded_draw;
 
 /// Compact per-slot copy of a cached growth's selection inputs (seed
-/// count and range size), kept in an array parallel to the slots.
+/// count and range size), held in the [`SelectTree`]'s leaves, one per
+/// slot.
 ///
-/// The per-round selection visits keys, not slots; reading the full
-/// `Slot` (cluster range + cached growth range, hundreds of bytes) per
-/// visit would make selection memory-bound. `size == 0` marks a slot
-/// with no selectable growth (stale, exhausted, or dead) — real ranges
-/// always have size ≥ 1.
+/// Selection visits keys, not slots; reading the full `Slot` (cluster
+/// range + cached growth range, hundreds of bytes) per visit would make
+/// selection memory-bound. `size == 0` marks a slot with no selectable
+/// growth (stale, exhausted, or dead) — real ranges always have
+/// size ≥ 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct SelectKey {
     pub(crate) count: u64,
@@ -236,47 +245,58 @@ impl SelectTree {
         }
         Some(self.find_ordinal(winner_ordinal))
     }
+
+    /// Every leaf's key in slot order, padding leaves included (they hold
+    /// [`SelectKey::NONE`], which the scan skips).
+    #[cfg(test)]
+    pub(crate) fn keys(&self) -> Vec<SelectKey> {
+        self.nodes[self.cap..].iter().map(|leaf| leaf.key).collect()
+    }
+}
+
+/// The reference selection scan the tree must reproduce draw for draw:
+/// a reservoir over slot order that draws `bounded_draw(next_word, t)`
+/// for the `t`-th slot tying the running best.
+#[cfg(test)]
+pub(crate) fn scan_reference(
+    keys: &[SelectKey],
+    mut next_word: impl FnMut() -> u64,
+) -> Option<usize> {
+    let mut best_index: Option<usize> = None;
+    let mut best_key = SelectKey::NONE;
+    let mut ties: u64 = 0;
+    for (i, key) in keys.iter().enumerate() {
+        if !key.is_ready() {
+            continue;
+        }
+        match best_index {
+            None => {
+                best_index = Some(i);
+                best_key = *key;
+                ties = 1;
+            }
+            Some(_) => match key.preference(&best_key) {
+                core::cmp::Ordering::Greater => {
+                    best_index = Some(i);
+                    best_key = *key;
+                    ties = 1;
+                }
+                core::cmp::Ordering::Equal => {
+                    ties += 1;
+                    if bounded_draw(&mut next_word, ties) == 0 {
+                        best_index = Some(i);
+                    }
+                }
+                core::cmp::Ordering::Less => {}
+            },
+        }
+    }
+    best_index
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The reference scan, lifted verbatim from the engine's
-    /// `scan_round` path (minus metrics): the ground truth the tree must
-    /// reproduce draw-for-draw.
-    fn scan_reference(keys: &[SelectKey], mut next_word: impl FnMut() -> u64) -> Option<usize> {
-        let mut best_index: Option<usize> = None;
-        let mut best_key = SelectKey::NONE;
-        let mut ties: u64 = 0;
-        for (i, key) in keys.iter().enumerate() {
-            if !key.is_ready() {
-                continue;
-            }
-            match best_index {
-                None => {
-                    best_index = Some(i);
-                    best_key = *key;
-                    ties = 1;
-                }
-                Some(_) => match key.preference(&best_key) {
-                    core::cmp::Ordering::Greater => {
-                        best_index = Some(i);
-                        best_key = *key;
-                        ties = 1;
-                    }
-                    core::cmp::Ordering::Equal => {
-                        ties += 1;
-                        if bounded_draw(&mut next_word, ties) == 0 {
-                            best_index = Some(i);
-                        }
-                    }
-                    core::cmp::Ordering::Less => {}
-                },
-            }
-        }
-        best_index
-    }
 
     /// A deterministic word stream that records how many words were
     /// consumed — the draw-stream fingerprint the tree must match.

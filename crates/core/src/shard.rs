@@ -198,7 +198,7 @@ pub fn run_sharded_with(
 /// byte-identically to the uninterrupted fleet.
 ///
 /// `config` must match the envelope's global fingerprint (`rng_seed`,
-/// plus each shard's `mode`/`unfused_growth`, enforced per shard by
+/// plus each shard's `mode`, enforced per shard by
 /// [`Session::resume`]); `config.budget` may be *raised* — the extra
 /// headroom enters the pool and is re-leased to hungry shards at the
 /// next barrier. Every shard resumes as a live session: shards that had

@@ -17,7 +17,7 @@ use sixgen_obs::{EventBus, MetricsRegistry, ProgressEvent};
 use std::sync::Arc;
 
 /// Multi-round engine workload: ten dense seed groups plus stragglers
-/// (same shape as the scan/incremental differentials).
+/// (the world of the engine's round-check unit test).
 fn seeds() -> Vec<NybbleAddr> {
     let mut seeds: Vec<NybbleAddr> = (0..30u32)
         .map(|i| {

@@ -242,21 +242,6 @@ fn resume_refuses_fingerprint_mismatches() {
     .unwrap_err();
     assert_eq!(err, ResumeError::ConfigMismatch { field: "rng_seed" });
 
-    let err = Session::resume(
-        checkpoint.clone(),
-        Config {
-            unfused_growth: true,
-            ..cfg.clone()
-        },
-    )
-    .unwrap_err();
-    assert_eq!(
-        err,
-        ResumeError::ConfigMismatch {
-            field: "unfused_growth"
-        }
-    );
-
     // A structurally violated (hand-tampered) checkpoint is refused too.
     let mut tampered = checkpoint;
     tampered.stale.clear();

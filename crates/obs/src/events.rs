@@ -40,7 +40,7 @@
 //! Raw-event memory is capped at `16 × capacity` records; wraps increment
 //! [`EventBus::dropped`] so a truncated window is never mistaken for a
 //! complete history. The live table is bounded by the shard count and the
-//! throughput window by [`SAMPLE_WINDOW`] entries.
+//! throughput window by `SAMPLE_WINDOW` (256) entries.
 //!
 //! The rings and the stream writer are shared with the trace sink (the
 //! crate-private `ring` module); this file owns only the event types, the
@@ -121,7 +121,7 @@ pub enum ProgressEvent {
     SessionEnd {
         /// Shard index.
         shard: u64,
-        /// Stable lower-snake label of the [`Termination`] variant.
+        /// Stable lower-snake label of the engine's `Termination` variant.
         termination: &'static str,
         /// Total rounds executed.
         rounds: u64,
@@ -167,7 +167,7 @@ pub enum ProgressEvent {
     ShardDone {
         /// Shard index.
         shard: u64,
-        /// Stable lower-snake label of the [`Termination`] variant.
+        /// Stable lower-snake label of the engine's `Termination` variant.
         termination: &'static str,
         /// Total rounds the shard executed.
         rounds: u64,

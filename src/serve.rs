@@ -48,7 +48,8 @@
 //! final target list on completion (`job-<id>.targets`). A restarted
 //! [`JobManager`] rescans the directory: finished jobs serve their
 //! persisted targets; unfinished jobs resume from their checkpoint (or
-//! restart from seeds when none was written yet) and — generation
+//! restart from seeds when none was written yet or it cannot be read,
+//! which `serve/checkpoints_unreadable` counts) and — generation
 //! being deterministic — regenerate the identical stream, so a client
 //! reconnecting with `from=N` loses nothing and sees no duplicates.
 
@@ -778,7 +779,7 @@ impl JobManager {
         let resume = job
             .checkpoint
             .as_ref()
-            .and_then(|path| EngineCheckpoint::load(path).ok());
+            .and_then(|path| self.load_checkpoint(path, EngineCheckpoint::load));
         let session = match resume {
             Some(checkpoint) => {
                 let config = Config {
@@ -818,6 +819,31 @@ impl JobManager {
         Ok(outcome.stats.termination.label().to_string())
     }
 
+    /// Loads a job's checkpoint, or `None` to start from the seeds. No
+    /// file is the normal case for a job that wrote none yet. Any other
+    /// error (a file from another format version, a torn or corrupted
+    /// file) is reported on stderr and counted in
+    /// `serve/checkpoints_unreadable`; starting from the seeds then
+    /// regenerates the identical stream.
+    fn load_checkpoint<T>(
+        &self,
+        path: &Path,
+        load: impl FnOnce(&Path) -> std::io::Result<T>,
+    ) -> Option<T> {
+        match load(path) {
+            Ok(checkpoint) => Some(checkpoint),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+            Err(e) => {
+                eprintln!(
+                    "warning: cannot read job checkpoint {} ({e}); restarting from seeds",
+                    path.display()
+                );
+                self.metrics.counter("serve/checkpoints_unreadable").add(1);
+                None
+            }
+        }
+    }
+
     fn run_fleet(
         &self,
         job: &Arc<Job>,
@@ -832,7 +858,7 @@ impl JobManager {
         let resume = job
             .checkpoint
             .as_ref()
-            .and_then(|path| ShardedCheckpoint::load(path).ok());
+            .and_then(|path| self.load_checkpoint(path, ShardedCheckpoint::load));
         let bus = Arc::clone(&job.bus);
         let feed_job = Arc::clone(job);
         let at_barrier = |envelope: &ShardedCheckpoint| {

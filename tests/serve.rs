@@ -2,7 +2,9 @@
 //! byte-identity of the streamed target list against direct engine runs,
 //! the job lifecycle (upload → poll → stream → cancel), stream resume
 //! via `?from=N`, and crash durability (a restarted manager resumes an
-//! in-flight checkpointed job and serves finished jobs from disk).
+//! in-flight checkpointed job, single or sharded, restarts one whose
+//! checkpoint it cannot read from its seeds, and serves finished jobs
+//! from disk).
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -11,7 +13,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sixgen::addr::NybbleAddr;
-use sixgen::core::{run_sharded_with, CheckpointWriter, Config, ShardSpec, SixGen, Step};
+use sixgen::core::{
+    run_sharded, run_sharded_with, CheckpointWriter, Config, ShardSpec, ShardedCheckpoint, SixGen,
+    Step,
+};
 use sixgen::datasets::io::{write_hitlist, write_hitlist_file};
 use sixgen::routing::partition_by_length;
 use sixgen::serve::{serve, JobManager, JobState};
@@ -49,6 +54,21 @@ fn routed_seeds(subnets: u32, hosts: u32) -> Vec<NybbleAddr> {
                     .parse()
                     .expect("valid seed"),
             );
+        }
+    }
+    seeds
+}
+
+/// Seeds in six /48s of unequal density, so shards exhaust their leases
+/// at different times and a fleet runs several epochs.
+fn uneven_fleet_seeds() -> Vec<NybbleAddr> {
+    let mut seeds = Vec::new();
+    for p in 0..6u128 {
+        let base = 0x2001_0db8u128 << 96 | p << 80;
+        for i in 0..24u128 {
+            let subnet = i % (2 + p % 3);
+            let host = (i * 7 + p * 3) % 200;
+            seeds.push(NybbleAddr::from_bits(base | subnet << 16 | host));
         }
     }
     seeds
@@ -278,6 +298,15 @@ fn cancel_stops_a_running_job_and_closes_its_stream() {
     manager.join();
 }
 
+/// The meta file of a job that was still running when its server died.
+fn running_meta(budget: u64, rng_seed: u64, shards: &str, seed_count: usize) -> String {
+    format!(
+        "sixgen-job v1\nid=1\nbudget={budget}\nmode=loose\nrng_seed={rng_seed}\n\
+         shards={shards}\ntime_limit_ms=-\ncheckpoint_every=1\nseed_count={seed_count}\n\
+         state=running\ntermination=-\nerror=-\n"
+    )
+}
+
 #[test]
 fn manager_restart_resumes_inflight_job_from_checkpoint() {
     let dir = workdir("resume");
@@ -307,13 +336,8 @@ fn manager_restart_resumes_inflight_job_from_checkpoint() {
     CheckpointWriter::new(dir.join("job-1.ckpt"))
         .write(&mid)
         .expect("write checkpoint");
-    std::fs::write(
-        dir.join("job-1.meta"),
-        "sixgen-job v1\nid=1\nbudget=400\nmode=loose\nrng_seed=9\nshards=-\n\
-         time_limit_ms=-\ncheckpoint_every=1\nseed_count=27\nstate=running\n\
-         termination=-\nerror=-\n",
-    )
-    .expect("write meta");
+    let meta = running_meta(400, 9, "-", seeds.len());
+    std::fs::write(dir.join("job-1.meta"), meta).expect("write meta");
 
     // A fresh manager on the same directory resumes the job...
     let manager = JobManager::new(Some(dir.clone())).expect("manager");
@@ -337,6 +361,120 @@ fn manager_restart_resumes_inflight_job_from_checkpoint() {
         .create(seeds, sixgen::serve::JobSpec::default())
         .expect("create");
     assert_eq!(next.id, 2);
+    manager.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn manager_restart_resumes_sharded_job_from_envelope() {
+    let dir = workdir("resume-fleet");
+    let seeds = uneven_fleet_seeds();
+    let config = Config {
+        budget: 1500,
+        rng_seed: 11,
+        threads: 0,
+        ..Config::default()
+    };
+    let specs: Vec<ShardSpec> = partition_by_length(seeds.clone(), 48)
+        .into_iter()
+        .map(|(prefix, seeds)| ShardSpec { prefix, seeds })
+        .collect();
+    assert!(specs.len() >= 2, "the job must span several /48s");
+    let expected = render(&run_sharded(specs.clone(), config.clone(), 2).targets);
+
+    // The on-disk state of a server that died after the fleet's first
+    // epoch barrier: upload, meta with `shards=2`, and that barrier's
+    // envelope.
+    let mut envelopes: Vec<ShardedCheckpoint> = Vec::new();
+    run_sharded_with(specs, config, 2, |envelope| {
+        envelopes.push(envelope.clone())
+    });
+    assert!(envelopes.len() >= 2, "the first barrier must be mid-fleet");
+    write_hitlist_file(dir.join("job-1.seeds"), &seeds).expect("persist seeds");
+    CheckpointWriter::new(dir.join("job-1.ckpt"))
+        .write_sharded(&envelopes[0])
+        .expect("write envelope");
+    let meta = running_meta(1500, 11, "2", seeds.len());
+    std::fs::write(dir.join("job-1.meta"), meta).expect("write meta");
+
+    let manager = JobManager::new(Some(dir.clone())).expect("manager");
+    let server = serve("127.0.0.1:0", Arc::clone(&manager), 0).expect("bind");
+    let addr = server.local_addr().to_string();
+    let (status, _, raw) = get(&addr, "/jobs/1/targets");
+    assert!(status.contains("200"), "{status}");
+    assert_eq!(
+        dechunk(&raw),
+        expected,
+        "resumed fleet stream diverges from run_sharded"
+    );
+    wait_for(&addr, "/jobs/1/status", |t| {
+        t.contains("\"state\":\"done\"") && t.contains("\"termination\":\"complete\"")
+    });
+    let unreadable = manager.metrics().counter("serve/checkpoints_unreadable");
+    assert_eq!(unreadable.get(), 0, "the envelope must have been read");
+    manager.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// FNV-1a 64, the checksum trailing every checkpoint file.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn manager_restart_reruns_job_whose_checkpoint_is_unreadable() {
+    let dir = workdir("stale-ckpt");
+    let seeds = ladder_seeds();
+    let config = Config {
+        budget: 400,
+        rng_seed: 9,
+        threads: 0,
+        ..Config::default()
+    };
+    let expected = render(
+        SixGen::new(seeds.clone(), config.clone())
+            .run()
+            .targets
+            .as_slice(),
+    );
+
+    // A mid-run checkpoint in the version-1 layout an older build wrote:
+    // version 1 and a growth-path byte after the mode, with a valid
+    // checksum, which this build refuses to decode.
+    let mut session = SixGen::new(seeds.clone(), config).session();
+    for _ in 0..4 {
+        assert_eq!(session.step(), Step::Grew);
+    }
+    let mut old = session.checkpoint().to_bytes();
+    old.truncate(old.len() - 8);
+    old[4..6].copy_from_slice(&1u16.to_le_bytes());
+    old.insert(7, 0);
+    let checksum = fnv1a(&old);
+    old.extend_from_slice(&checksum.to_le_bytes());
+    write_hitlist_file(dir.join("job-1.seeds"), &seeds).expect("persist seeds");
+    std::fs::write(dir.join("job-1.ckpt"), &old).expect("write checkpoint");
+    let meta = running_meta(400, 9, "-", seeds.len());
+    std::fs::write(dir.join("job-1.meta"), meta).expect("write meta");
+
+    // The restarted job runs again from its seeds: same stream, done,
+    // and the unreadable file is counted.
+    let manager = JobManager::new(Some(dir.clone())).expect("manager");
+    let server = serve("127.0.0.1:0", Arc::clone(&manager), 0).expect("bind");
+    let addr = server.local_addr().to_string();
+    let (status, _, raw) = get(&addr, "/jobs/1/targets");
+    assert!(status.contains("200"), "{status}");
+    assert_eq!(
+        dechunk(&raw),
+        expected,
+        "restarted stream diverges from a direct run"
+    );
+    wait_for(&addr, "/jobs/1/status", |t| {
+        t.contains("\"state\":\"done\"")
+    });
+    let unreadable = manager.metrics().counter("serve/checkpoints_unreadable");
+    assert_eq!(unreadable.get(), 1);
     manager.join();
     std::fs::remove_dir_all(&dir).ok();
 }
