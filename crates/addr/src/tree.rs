@@ -609,13 +609,10 @@ impl NybbleTree {
     /// mutated (the engine's seed tree): `insert` and `remove` must not be
     /// called afterwards (debug-asserted). Binned subtrees' former
     /// interior nodes stay in the arena as unreachable orphans, so node
-    /// ids — and external count arrays from [`subtree_counts`] — remain
-    /// valid. Every query returns results byte-identical to the
-    /// uncompressed tree, including candidate-group and nearest-seed
+    /// ids remain valid. Every query returns results byte-identical to
+    /// the uncompressed tree, including candidate-group and nearest-seed
     /// *order* (bin survivors are replayed in the traversal's visit
     /// order — see `dfs_order`).
-    ///
-    /// [`subtree_counts`]: NybbleTree::subtree_counts
     pub fn compress_bins(&mut self, max_bin: usize) {
         self.compress_rec(0, 0, 0, max_bin);
     }
@@ -675,54 +672,6 @@ impl NybbleTree {
         for &(value, child) in n.children() {
             let child_acc = acc | ((value as u128) << (4 * (NYBBLE_COUNT - 1 - d)));
             self.collect_bits(child, d + 1, child_acc, out);
-        }
-    }
-
-    /// Snapshot of every node's subtree count, indexed like the arena
-    /// (`counts.len() == node_count()`). Callers that track a shrinking
-    /// *subset* of the stored addresses — e.g. the engine's "still a live
-    /// singleton cluster" view over the seed tree — start from this
-    /// snapshot and walk it down with [`adjust_path_count`], then
-    /// enumerate with [`for_each_in_range_pruned`] so dead regions cost
-    /// nothing to skip.
-    ///
-    /// [`adjust_path_count`]: NybbleTree::adjust_path_count
-    /// [`for_each_in_range_pruned`]: NybbleTree::for_each_in_range_pruned
-    pub fn subtree_counts(&self) -> Vec<u32> {
-        self.nodes.iter().map(|n| n.count).collect()
-    }
-
-    /// Applies `delta` to the external per-node counter along `addr`'s
-    /// path (root included). Returns `false` — touching nothing — if the
-    /// address is not stored.
-    ///
-    /// On a [`compress_bins`]-compressed tree the path ends at the bin
-    /// node: external counts track bins at whole-bin granularity, and
-    /// callers of [`for_each_in_range_pruned`] filter individual bin
-    /// members themselves.
-    ///
-    /// [`compress_bins`]: NybbleTree::compress_bins
-    /// [`for_each_in_range_pruned`]: NybbleTree::for_each_in_range_pruned
-    pub fn adjust_path_count(&self, addr: NybbleAddr, counts: &mut [u32], delta: i32) -> bool {
-        if !self.contains(addr) {
-            return false;
-        }
-        debug_assert_eq!(counts.len(), self.nodes.len());
-        let mut node: NodeId = 0;
-        let mut depth = 0usize;
-        loop {
-            counts[node as usize] = counts[node as usize].wrapping_add_signed(delta);
-            depth += self.nodes[node as usize].prefix_len as usize;
-            if depth == NYBBLE_COUNT {
-                return true;
-            }
-            if self.nodes[node as usize].bin().is_some() {
-                return true;
-            }
-            node = self
-                .child(node, addr.nybble(depth))
-                .expect("contains() verified the path");
-            depth += 1;
         }
     }
 
@@ -789,80 +738,6 @@ impl NybbleTree {
     pub fn for_each_in_range(&self, range: &Range, mut f: impl FnMut(NybbleAddr)) {
         let mut path = NybbleAddr::UNSPECIFIED;
         self.visit_rec(0, 0, range, &mut path, &mut f);
-    }
-
-    /// Like [`for_each_in_range`], but additionally prunes every subtree
-    /// whose entry in the caller-maintained `counts` array (see
-    /// [`subtree_counts`] / [`adjust_path_count`]) is zero — enumerating
-    /// only the *live* stored addresses inside `range`, in increasing
-    /// order, at a cost proportional to the live matches rather than to
-    /// everything the range covers.
-    ///
-    /// [`for_each_in_range`]: NybbleTree::for_each_in_range
-    /// [`subtree_counts`]: NybbleTree::subtree_counts
-    /// [`adjust_path_count`]: NybbleTree::adjust_path_count
-    pub fn for_each_in_range_pruned(
-        &self,
-        range: &Range,
-        counts: &[u32],
-        mut f: impl FnMut(NybbleAddr),
-    ) {
-        debug_assert_eq!(counts.len(), self.nodes.len());
-        let mut path = NybbleAddr::UNSPECIFIED;
-        self.visit_pruned_rec(0, 0, range, counts, &mut path, &mut f);
-    }
-
-    fn visit_pruned_rec(
-        &self,
-        node: NodeId,
-        depth: usize,
-        range: &Range,
-        counts: &[u32],
-        path: &mut NybbleAddr,
-        f: &mut impl FnMut(NybbleAddr),
-    ) {
-        if counts[node as usize] == 0 {
-            return;
-        }
-        let n = &self.nodes[node as usize];
-        let plen = n.prefix_len as usize;
-        for k in 0..plen {
-            let v = prefix_nybble(n.prefix, k);
-            if !range.set(depth + k).contains(v) {
-                return;
-            }
-            *path = path.with_nybble(depth + k, v);
-        }
-        let d = depth + plen;
-        if d == NYBBLE_COUNT {
-            f(*path);
-            return;
-        }
-        if let Some(bin) = n.bin() {
-            // A fixed-position mismatch at a non-varying position rules
-            // out every member at once. Otherwise: bin members are stored
-            // ascending, and range enumeration's
-            // matching-children-ascending order is plain address order
-            // among full matches. Positions before `d` are guaranteed by
-            // the path, so the full membership test is equivalent.
-            if (bin.common ^ range.fixed_values()) & range.fixed_mask() & !bin.vary != 0 {
-                return;
-            }
-            for &b in &bin.entries {
-                let addr = NybbleAddr::from_bits(b);
-                if range.contains(addr) {
-                    f(addr);
-                }
-            }
-            return;
-        }
-        let set = range.set(d);
-        for &(value, child) in n.children() {
-            if set.contains(value) {
-                *path = path.with_nybble(d, value);
-                self.visit_pruned_rec(child, d + 1, range, counts, path, f);
-            }
-        }
     }
 
     /// Collects the stored addresses inside `range`.
@@ -1815,33 +1690,6 @@ mod tests {
     }
 
     #[test]
-    fn compressed_pruned_enumeration_is_bin_granular() {
-        let addrs = [
-            a("2001:db8::1"),
-            a("2001:db8::2"),
-            a("2001:db8::3"),
-            a("2001:db9::1"),
-        ];
-        let mut tree = NybbleTree::from_addresses(addrs);
-        // The db8 subtree (3 addresses, branching tail) collapses; the
-        // db9 single-address chain is already one leaf.
-        tree.compress_bins(3);
-        let mut counts = tree.subtree_counts();
-        // Killing one bin member stops at the bin node: enumeration still
-        // yields the whole bin (callers filter individual members).
-        assert!(tree.adjust_path_count(a("2001:db8::2"), &mut counts, -1));
-        let mut seen = Vec::new();
-        tree.for_each_in_range_pruned(&Range::full(), &counts, |x| seen.push(x));
-        assert_eq!(seen, addrs.to_vec(), "bin granularity: members not filtered");
-        // Killing the remaining members zeroes the bin node and prunes it.
-        assert!(tree.adjust_path_count(a("2001:db8::1"), &mut counts, -1));
-        assert!(tree.adjust_path_count(a("2001:db8::3"), &mut counts, -1));
-        seen.clear();
-        tree.for_each_in_range_pruned(&Range::full(), &counts, |x| seen.push(x));
-        assert_eq!(seen, vec![a("2001:db9::1")]);
-    }
-
-    #[test]
     fn compress_bins_shrinks_reachable_interior() {
         // A sparse subtree of scattered noise collapses into one bin node.
         let mut rng = StdRng::seed_from_u64(5);
@@ -1857,34 +1705,5 @@ mod tests {
         // root and the shared-prefix node carrying the bin.
         assert_eq!(packed.len(), plain.len());
         assert_eq!(packed.addresses(), plain.addresses());
-    }
-
-    #[test]
-    fn pruned_enumeration_skips_externally_dead_subtrees() {
-        let addrs = [
-            a("2001:db8::1"),
-            a("2001:db8::2"),
-            a("2001:db8::3"),
-            a("2001:db9::1"),
-        ];
-        let tree = NybbleTree::from_addresses(addrs);
-        let mut counts = tree.subtree_counts();
-        assert_eq!(counts.len(), tree.node_count());
-        // Initially the pruned view equals the full view.
-        let mut seen = Vec::new();
-        tree.for_each_in_range_pruned(&Range::full(), &counts, |x| seen.push(x));
-        assert_eq!(seen, addrs.to_vec());
-        // Kill ::2 in the external view only: the tree still stores it.
-        assert!(tree.adjust_path_count(a("2001:db8::2"), &mut counts, -1));
-        assert!(!tree.adjust_path_count(a("2001:db8::9"), &mut counts, -1));
-        seen.clear();
-        tree.for_each_in_range_pruned(&r("2001:db8::?"), &counts, |x| seen.push(x));
-        assert_eq!(seen, vec![a("2001:db8::1"), a("2001:db8::3")]);
-        assert!(tree.contains(a("2001:db8::2")), "tree itself unchanged");
-        // Revive it.
-        assert!(tree.adjust_path_count(a("2001:db8::2"), &mut counts, 1));
-        seen.clear();
-        tree.for_each_in_range_pruned(&r("2001:db8::?"), &counts, |x| seen.push(x));
-        assert_eq!(seen.len(), 3);
     }
 }

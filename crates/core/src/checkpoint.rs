@@ -145,10 +145,18 @@ pub struct EngineCheckpoint {
 pub enum CheckpointError {
     /// The byte stream ended before the structure was complete.
     Truncated,
-    /// The magic bytes are not `"6GSN"` — not a checkpoint file.
+    /// The magic bytes are not the decoder's (`"6GSN"` for an engine
+    /// checkpoint, `"6GSH"` for a fleet envelope).
     BadMagic,
     /// The version is one this build does not know how to interpret.
-    UnsupportedVersion(u16),
+    UnsupportedVersion {
+        /// The version the bytes carry.
+        found: u16,
+        /// The version the failing decoder reads: [`FORMAT_VERSION`]
+        /// for an engine checkpoint, [`SHARDED_FORMAT_VERSION`] for a
+        /// fleet envelope.
+        supported: u16,
+    },
     /// The trailing FNV-1a checksum does not match the payload.
     BadChecksum,
     /// Bytes remain after the checksum — the file is longer than the
@@ -175,10 +183,10 @@ impl std::fmt::Display for CheckpointError {
         match self {
             CheckpointError::Truncated => write!(f, "checkpoint truncated"),
             CheckpointError::BadMagic => write!(f, "not a sixgen checkpoint (bad magic)"),
-            CheckpointError::UnsupportedVersion(v) => {
+            CheckpointError::UnsupportedVersion { found, supported } => {
                 write!(
                     f,
-                    "unsupported checkpoint version {v} (this build reads {FORMAT_VERSION})"
+                    "unsupported checkpoint version {found} (this build reads {supported})"
                 )
             }
             CheckpointError::BadChecksum => write!(f, "checkpoint checksum mismatch"),
@@ -232,6 +240,61 @@ fn put_addrs(out: &mut Vec<u8>, addrs: &[NybbleAddr]) {
     for addr in addrs {
         put_u128(out, addr.bits());
     }
+}
+
+/// Writes the frame every checkpoint format shares: `magic · version
+/// u16`, the body `write` appends, then the FNV-1a 64 checksum of
+/// everything before it.
+fn seal_frame(
+    magic: [u8; 4],
+    version: u16,
+    capacity: usize,
+    write: impl FnOnce(&mut Vec<u8>),
+) -> Vec<u8> {
+    let mut out = Vec::with_capacity(capacity);
+    out.extend_from_slice(&magic);
+    put_u16(&mut out, version);
+    write(&mut out);
+    let checksum = fnv1a(&out);
+    put_u64(&mut out, checksum);
+    out
+}
+
+/// Reads a frame written by [`seal_frame`]: checks the length floor,
+/// magic, checksum and version, hands the body to `read`, and rejects
+/// any bytes `read` leaves over.
+fn open_frame<T>(
+    bytes: &[u8],
+    magic: [u8; 4],
+    version: u16,
+    read: impl FnOnce(&mut Reader<'_>) -> Result<T, CheckpointError>,
+) -> Result<T, CheckpointError> {
+    if bytes.len() < magic.len() + 2 + 8 {
+        return Err(CheckpointError::Truncated);
+    }
+    if bytes[..magic.len()] != magic {
+        return Err(CheckpointError::BadMagic);
+    }
+    let (payload, stored) = bytes.split_at(bytes.len() - 8);
+    if fnv1a(payload) != u64::from_le_bytes(stored.try_into().unwrap()) {
+        return Err(CheckpointError::BadChecksum);
+    }
+    let mut r = Reader {
+        bytes: payload,
+        pos: magic.len(),
+    };
+    let found = r.u16()?;
+    if found != version {
+        return Err(CheckpointError::UnsupportedVersion {
+            found,
+            supported: version,
+        });
+    }
+    let value = read(&mut r)?;
+    if r.pos != payload.len() {
+        return Err(CheckpointError::TrailingBytes);
+    }
+    Ok(value)
 }
 
 /// Bounded little-endian reader over the checkpoint payload.
@@ -306,153 +369,129 @@ impl EngineCheckpoint {
     /// Serializes the checkpoint to its canonical byte form. Pure: the
     /// same checkpoint value always yields the same bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(
-            128 + 16 * (self.seeds.len() + self.generated.len()) + 160 * self.slots.len(),
-        );
-        out.extend_from_slice(&MAGIC);
-        put_u16(&mut out, FORMAT_VERSION);
-        out.push(match self.mode {
-            ClusterMode::Loose => 0,
-            ClusterMode::Tight => 1,
-        });
-        put_u64(&mut out, self.rng_seed);
-        put_u64(&mut out, self.budget);
-        for word in self.rng_state {
-            put_u64(&mut out, word);
-        }
-        put_u64(&mut out, self.rounds);
-        put_u64(&mut out, self.growths);
-        put_u64(&mut out, self.subsumed);
-        put_u64(&mut out, self.worker_panics);
-        put_u64(&mut out, duration_ns(self.cpu_time));
-        put_u64(&mut out, duration_ns(self.wall_time));
-        put_addrs(&mut out, &self.seeds);
-        put_u64(&mut out, self.slots.len() as u64);
-        for slot in &self.slots {
-            put_range(&mut out, &slot.range);
-            put_u64(&mut out, slot.seed_count);
-            match &slot.cached {
-                CachedCheckpoint::Stale => out.push(0),
-                CachedCheckpoint::Exhausted => out.push(1),
-                CachedCheckpoint::Ready {
-                    range,
-                    seed_count,
-                    range_size,
-                } => {
-                    out.push(2);
-                    put_range(&mut out, range);
-                    put_u64(&mut out, *seed_count);
-                    put_u128(&mut out, *range_size);
+        let capacity =
+            128 + 16 * (self.seeds.len() + self.generated.len()) + 160 * self.slots.len();
+        seal_frame(MAGIC, FORMAT_VERSION, capacity, |out| {
+            out.push(match self.mode {
+                ClusterMode::Loose => 0,
+                ClusterMode::Tight => 1,
+            });
+            put_u64(out, self.rng_seed);
+            put_u64(out, self.budget);
+            for word in self.rng_state {
+                put_u64(out, word);
+            }
+            put_u64(out, self.rounds);
+            put_u64(out, self.growths);
+            put_u64(out, self.subsumed);
+            put_u64(out, self.worker_panics);
+            put_u64(out, duration_ns(self.cpu_time));
+            put_u64(out, duration_ns(self.wall_time));
+            put_addrs(out, &self.seeds);
+            put_u64(out, self.slots.len() as u64);
+            for slot in &self.slots {
+                put_range(out, &slot.range);
+                put_u64(out, slot.seed_count);
+                match &slot.cached {
+                    CachedCheckpoint::Stale => out.push(0),
+                    CachedCheckpoint::Exhausted => out.push(1),
+                    CachedCheckpoint::Ready {
+                        range,
+                        seed_count,
+                        range_size,
+                    } => {
+                        out.push(2);
+                        put_range(out, range);
+                        put_u64(out, *seed_count);
+                        put_u128(out, *range_size);
+                    }
                 }
             }
-        }
-        put_u64(&mut out, self.stale.len() as u64);
-        for &index in &self.stale {
-            put_u64(&mut out, index);
-        }
-        put_addrs(&mut out, &self.generated);
-        let checksum = fnv1a(&out);
-        put_u64(&mut out, checksum);
-        out
+            put_u64(out, self.stale.len() as u64);
+            for &index in &self.stale {
+                put_u64(out, index);
+            }
+            put_addrs(out, &self.generated);
+        })
     }
 
     /// Decodes a checkpoint, validating magic, version, checksum, and
     /// every structural invariant. A checkpoint that decodes successfully
     /// re-serializes to exactly the input bytes.
     pub fn from_bytes(bytes: &[u8]) -> Result<EngineCheckpoint, CheckpointError> {
-        if bytes.len() < MAGIC.len() + 2 + 8 {
-            return Err(CheckpointError::Truncated);
-        }
-        if bytes[..MAGIC.len()] != MAGIC {
-            return Err(CheckpointError::BadMagic);
-        }
-        let payload = &bytes[..bytes.len() - 8];
-        let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
-        if fnv1a(payload) != stored {
-            return Err(CheckpointError::BadChecksum);
-        }
-        let mut r = Reader {
-            bytes: payload,
-            pos: MAGIC.len(),
-        };
-        let version = r.u16()?;
-        if version != FORMAT_VERSION {
-            return Err(CheckpointError::UnsupportedVersion(version));
-        }
-        let mode = match r.u8()? {
-            0 => ClusterMode::Loose,
-            1 => ClusterMode::Tight,
-            _ => return Err(CheckpointError::Invalid("unknown cluster mode")),
-        };
-        let rng_seed = r.u64()?;
-        let budget = r.u64()?;
-        let mut rng_state = [0u64; 4];
-        for word in &mut rng_state {
-            *word = r.u64()?;
-        }
-        let rounds = r.u64()?;
-        let growths = r.u64()?;
-        let subsumed = r.u64()?;
-        let worker_panics = r.u64()?;
-        let cpu_time = Duration::from_nanos(r.u64()?);
-        let wall_time = Duration::from_nanos(r.u64()?);
-        let seeds = r.addrs()?;
-        let slot_count = r.len(64 + 8 + 1)?;
-        let mut slots = Vec::with_capacity(slot_count);
-        for _ in 0..slot_count {
-            let range = r.range()?;
-            let seed_count = r.u64()?;
-            let cached = match r.u8()? {
-                0 => CachedCheckpoint::Stale,
-                1 => CachedCheckpoint::Exhausted,
-                2 => {
-                    let range = r.range()?;
-                    let seed_count = r.u64()?;
-                    let range_size = r.u128()?;
-                    if range_size != range.size() {
-                        return Err(CheckpointError::Invalid(
-                            "cached growth size disagrees with its range",
-                        ));
-                    }
-                    CachedCheckpoint::Ready {
-                        range,
-                        seed_count,
-                        range_size,
-                    }
-                }
-                _ => return Err(CheckpointError::Invalid("unknown cache tag")),
+        let checkpoint = open_frame(bytes, MAGIC, FORMAT_VERSION, |r| {
+            let mode = match r.u8()? {
+                0 => ClusterMode::Loose,
+                1 => ClusterMode::Tight,
+                _ => return Err(CheckpointError::Invalid("unknown cluster mode")),
             };
-            slots.push(SlotCheckpoint {
-                range,
-                seed_count,
-                cached,
-            });
-        }
-        let stale_count = r.len(8)?;
-        let mut stale = Vec::with_capacity(stale_count);
-        for _ in 0..stale_count {
-            stale.push(r.u64()?);
-        }
-        let generated = r.addrs()?;
-        if r.pos != payload.len() {
-            return Err(CheckpointError::TrailingBytes);
-        }
-        let checkpoint = EngineCheckpoint {
-            mode,
-            rng_seed,
-            budget,
-            rng_state,
-            rounds,
-            growths,
-            subsumed,
-            worker_panics,
-            cpu_time,
-            wall_time,
-            seeds,
-            slots,
-            stale,
-            generated,
-        };
+            let rng_seed = r.u64()?;
+            let budget = r.u64()?;
+            let mut rng_state = [0u64; 4];
+            for word in &mut rng_state {
+                *word = r.u64()?;
+            }
+            let rounds = r.u64()?;
+            let growths = r.u64()?;
+            let subsumed = r.u64()?;
+            let worker_panics = r.u64()?;
+            let cpu_time = Duration::from_nanos(r.u64()?);
+            let wall_time = Duration::from_nanos(r.u64()?);
+            let seeds = r.addrs()?;
+            let slot_count = r.len(64 + 8 + 1)?;
+            let mut slots = Vec::with_capacity(slot_count);
+            for _ in 0..slot_count {
+                let range = r.range()?;
+                let seed_count = r.u64()?;
+                let cached = match r.u8()? {
+                    0 => CachedCheckpoint::Stale,
+                    1 => CachedCheckpoint::Exhausted,
+                    2 => {
+                        let range = r.range()?;
+                        let seed_count = r.u64()?;
+                        let range_size = r.u128()?;
+                        if range_size != range.size() {
+                            return Err(CheckpointError::Invalid(
+                                "cached growth size disagrees with its range",
+                            ));
+                        }
+                        CachedCheckpoint::Ready {
+                            range,
+                            seed_count,
+                            range_size,
+                        }
+                    }
+                    _ => return Err(CheckpointError::Invalid("unknown cache tag")),
+                };
+                slots.push(SlotCheckpoint {
+                    range,
+                    seed_count,
+                    cached,
+                });
+            }
+            let stale_count = r.len(8)?;
+            let mut stale = Vec::with_capacity(stale_count);
+            for _ in 0..stale_count {
+                stale.push(r.u64()?);
+            }
+            let generated = r.addrs()?;
+            Ok(EngineCheckpoint {
+                mode,
+                rng_seed,
+                budget,
+                rng_state,
+                rounds,
+                growths,
+                subsumed,
+                worker_panics,
+                cpu_time,
+                wall_time,
+                seeds,
+                slots,
+                stale,
+                generated,
+            })
+        })?;
         checkpoint.validate()?;
         Ok(checkpoint)
     }
@@ -595,87 +634,63 @@ pub struct ShardedCheckpoint {
 impl ShardedCheckpoint {
     /// Serializes the envelope to its canonical byte form.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&SHARDED_MAGIC);
-        put_u16(&mut out, SHARDED_FORMAT_VERSION);
-        put_u64(&mut out, self.rng_seed);
-        put_u64(&mut out, self.budget);
-        put_u64(&mut out, self.pool_unassigned);
-        put_u64(&mut out, self.epochs);
-        put_u64(&mut out, self.shards.len() as u64);
-        for shard in &self.shards {
-            put_u128(&mut out, shard.prefix.network().bits());
-            out.push(shard.prefix.len());
-            put_u64(&mut out, shard.returned);
-            let blob = shard.engine.to_bytes();
-            put_u64(&mut out, blob.len() as u64);
-            out.extend_from_slice(&blob);
-        }
-        let checksum = fnv1a(&out);
-        put_u64(&mut out, checksum);
-        out
+        seal_frame(SHARDED_MAGIC, SHARDED_FORMAT_VERSION, 0, |out| {
+            put_u64(out, self.rng_seed);
+            put_u64(out, self.budget);
+            put_u64(out, self.pool_unassigned);
+            put_u64(out, self.epochs);
+            put_u64(out, self.shards.len() as u64);
+            for shard in &self.shards {
+                put_u128(out, shard.prefix.network().bits());
+                out.push(shard.prefix.len());
+                put_u64(out, shard.returned);
+                let blob = shard.engine.to_bytes();
+                put_u64(out, blob.len() as u64);
+                out.extend_from_slice(&blob);
+            }
+        })
     }
 
     /// Decodes an envelope, validating the outer checksum, each inner
     /// engine checkpoint, and the fleet invariants (see type docs).
     pub fn from_bytes(bytes: &[u8]) -> Result<ShardedCheckpoint, CheckpointError> {
-        if bytes.len() < SHARDED_MAGIC.len() + 2 + 8 {
-            return Err(CheckpointError::Truncated);
-        }
-        if bytes[..SHARDED_MAGIC.len()] != SHARDED_MAGIC {
-            return Err(CheckpointError::BadMagic);
-        }
-        let payload = &bytes[..bytes.len() - 8];
-        let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
-        if fnv1a(payload) != stored {
-            return Err(CheckpointError::BadChecksum);
-        }
-        let mut r = Reader {
-            bytes: payload,
-            pos: SHARDED_MAGIC.len(),
-        };
-        let version = r.u16()?;
-        if version != SHARDED_FORMAT_VERSION {
-            return Err(CheckpointError::UnsupportedVersion(version));
-        }
-        let rng_seed = r.u64()?;
-        let budget = r.u64()?;
-        let pool_unassigned = r.u64()?;
-        let epochs = r.u64()?;
-        // Smallest possible shard entry: prefix (17) + returned (8) +
-        // blob length (8).
-        let shard_count = r.len(16 + 1 + 8 + 8)?;
-        let mut shards = Vec::with_capacity(shard_count);
-        for _ in 0..shard_count {
-            let network = NybbleAddr::from_bits(r.u128()?);
-            let len = r.u8()?;
-            if len > 128 {
-                return Err(CheckpointError::Invalid("prefix length out of range"));
+        let checkpoint = open_frame(bytes, SHARDED_MAGIC, SHARDED_FORMAT_VERSION, |r| {
+            let rng_seed = r.u64()?;
+            let budget = r.u64()?;
+            let pool_unassigned = r.u64()?;
+            let epochs = r.u64()?;
+            // Smallest possible shard entry: prefix (17) + returned (8) +
+            // blob length (8).
+            let shard_count = r.len(16 + 1 + 8 + 8)?;
+            let mut shards = Vec::with_capacity(shard_count);
+            for _ in 0..shard_count {
+                let network = NybbleAddr::from_bits(r.u128()?);
+                let len = r.u8()?;
+                if len > 128 {
+                    return Err(CheckpointError::Invalid("prefix length out of range"));
+                }
+                let prefix = sixgen_addr::Prefix::new(network, len);
+                if prefix.network() != network {
+                    return Err(CheckpointError::Invalid("prefix has host bits set"));
+                }
+                let returned = r.u64()?;
+                let blob_len = r.len(1)?;
+                let blob = r.take(blob_len)?;
+                let engine = EngineCheckpoint::from_bytes(blob)?;
+                shards.push(ShardCheckpoint {
+                    prefix,
+                    returned,
+                    engine,
+                });
             }
-            let prefix = sixgen_addr::Prefix::new(network, len);
-            if prefix.network() != network {
-                return Err(CheckpointError::Invalid("prefix has host bits set"));
-            }
-            let returned = r.u64()?;
-            let blob_len = r.len(1)?;
-            let blob = r.take(blob_len)?;
-            let engine = EngineCheckpoint::from_bytes(blob)?;
-            shards.push(ShardCheckpoint {
-                prefix,
-                returned,
-                engine,
-            });
-        }
-        if r.pos != payload.len() {
-            return Err(CheckpointError::TrailingBytes);
-        }
-        let checkpoint = ShardedCheckpoint {
-            rng_seed,
-            budget,
-            pool_unassigned,
-            epochs,
-            shards,
-        };
+            Ok(ShardedCheckpoint {
+                rng_seed,
+                budget,
+                pool_unassigned,
+                epochs,
+                shards,
+            })
+        })?;
         checkpoint.validate()?;
         Ok(checkpoint)
     }
@@ -943,7 +958,10 @@ mod tests {
         future[4..6].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
         assert_eq!(
             EngineCheckpoint::from_bytes(&resign(future)),
-            Err(CheckpointError::UnsupportedVersion(FORMAT_VERSION + 1))
+            Err(CheckpointError::UnsupportedVersion {
+                found: FORMAT_VERSION + 1,
+                supported: FORMAT_VERSION,
+            })
         );
         // So must a version-1 file: the same state with the growth-path
         // byte version 1 carried after the mode.
@@ -952,7 +970,22 @@ mod tests {
         v1.insert(7, 0);
         assert_eq!(
             EngineCheckpoint::from_bytes(&resign(v1)),
-            Err(CheckpointError::UnsupportedVersion(1))
+            Err(CheckpointError::UnsupportedVersion {
+                found: 1,
+                supported: FORMAT_VERSION,
+            })
+        );
+        // A fleet envelope from a future version names the envelope
+        // version this build reads, not the engine's.
+        let mut envelope = sample_sharded().to_bytes();
+        envelope[4..6].copy_from_slice(&(SHARDED_FORMAT_VERSION + 1).to_le_bytes());
+        let err = ShardedCheckpoint::from_bytes(&resign(envelope)).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "unsupported checkpoint version {} (this build reads {SHARDED_FORMAT_VERSION})",
+                SHARDED_FORMAT_VERSION + 1
+            )
         );
     }
 

@@ -357,26 +357,20 @@ impl SixGen {
         // Results are deterministic because each cluster's tie-break
         // stream depends only on its range, not on scheduling.
         let chunk_size = stale.len().div_ceil(threads);
-        type ChunkOut = (Vec<(usize, Option<Cached>)>, Duration);
-        let collected: Arc<std::sync::Mutex<Vec<ChunkOut>>> =
-            Arc::new(std::sync::Mutex::new(Vec::new()));
-        let jobs: Vec<Box<dyn FnOnce() + Send + 'static>> = stale
+        let jobs: Vec<_> = stale
             .chunks(chunk_size)
             .map(|chunk| {
                 let engine = self.clone();
-                let work: Vec<(usize, Cluster)> = chunk
-                    .iter()
-                    .map(|&i| (i, slots[i].cluster.clone()))
-                    .collect();
+                let clusters: Vec<Cluster> =
+                    chunk.iter().map(|&i| slots[i].cluster.clone()).collect();
                 let metrics = metrics.cloned();
-                let collected = Arc::clone(&collected);
-                Box::new(move || {
+                move || {
                     let start = Instant::now();
                     let trace = engine.config.trace.clone();
-                    let out: Vec<(usize, Option<Cached>)> = work
+                    let out: Vec<Option<Cached>> = clusters
                         .iter()
-                        .map(|(i, cluster)| {
-                            let cached = catch_unwind(AssertUnwindSafe(|| {
+                        .map(|cluster| {
+                            catch_unwind(AssertUnwindSafe(|| {
                                 engine.compute_growth(
                                     cluster,
                                     true,
@@ -385,49 +379,35 @@ impl SixGen {
                                     parent,
                                 )
                             }))
-                            .ok();
-                            (*i, cached)
+                            .ok()
                         })
                         .collect();
-                    collected.lock().unwrap().push((out, start.elapsed()));
-                }) as Box<dyn FnOnce() + Send + 'static>
+                    (out, start.elapsed())
+                }
             })
             .collect();
-        pool.run_batch(jobs);
 
+        // Clusters that produced no result panicked — either on their own
+        // (recorded as `None`) or with their whole job (the pool hands
+        // back the panic instead of the chunk). Both re-derive serially,
+        // in stale-list order so repeated runs retry in a deterministic
+        // order. A second panic marks the cluster exhausted so the run
+        // proceeds without it.
         let mut cpu = Duration::ZERO;
-        // Indices that produced no result panicked — either per-cluster
-        // (recorded as `None`) or a whole job escaping to the pool
-        // boundary (its chunk never reports). Both re-derive serially.
         let mut failed: Vec<usize> = Vec::new();
-        let mut seen = vec![false; stale.len()];
-        let position: HashMap<usize, usize> = stale
-            .iter()
-            .enumerate()
-            .map(|(pos, &i)| (i, pos))
-            .collect();
-        for (out, elapsed) in collected.lock().unwrap().drain(..) {
+        for (chunk, result) in stale.chunks(chunk_size).zip(pool.run_batch(jobs)) {
+            let Ok((out, elapsed)) = result else {
+                failed.extend_from_slice(chunk);
+                continue;
+            };
             cpu += elapsed;
-            for (i, cached) in out {
-                seen[position[&i]] = true;
+            for (&i, cached) in chunk.iter().zip(out) {
                 match cached {
                     Some(cached) => slots[i].cached = cached,
                     None => failed.push(i),
                 }
             }
         }
-        failed.extend(
-            stale
-                .iter()
-                .enumerate()
-                .filter(|&(pos, _)| !seen[pos])
-                .map(|(_, &i)| i),
-        );
-        // Serial failover keeps the stale-list order so repeated runs
-        // retry panicked clusters in a deterministic order. A second
-        // panic marks the cluster exhausted so the run proceeds without
-        // it.
-        failed.sort_unstable_by_key(|i| position[i]);
         for i in failed {
             *worker_panics += 1;
             let start = Instant::now();

@@ -140,10 +140,12 @@ pub struct Config {
     /// never affects results — outputs are byte-identical for any pool
     /// shape.
     pub pool: Option<std::sync::Arc<WorkerPool>>,
-    /// Parent span for the session's root `engine/run` span. The sharded
-    /// driver sets this to its `sharded/run` root so per-shard engine
-    /// spans nest under the fleet; standalone runs leave it
-    /// [`SpanId::NONE`](sixgen_obs::SpanId::NONE) (a top-level span).
+    /// Parent span for the session's root `engine/run` span; standalone
+    /// runs leave it [`SpanId::NONE`](sixgen_obs::SpanId::NONE) (a
+    /// top-level span). A sharded fleet opens its `sharded/run` span
+    /// under the caller's `trace_parent` before it builds any shard
+    /// session, and sets each shard's `trace_parent` to that span, so
+    /// per-shard engine spans nest under the fleet.
     pub trace_parent: sixgen_obs::SpanId,
     /// Optional live progress-event bus. When set, the session publishes
     /// one [`ProgressEvent`](sixgen_obs::ProgressEvent) per committed

@@ -18,7 +18,13 @@
 //!   while waiting, so nested batches — a shard task that itself fans
 //!   out a cache fill — cannot deadlock even on a single-worker pool.
 //!   External threads block on a condvar instead of helping, so a
-//!   `--shards 1` run really is serial.
+//!   `--shards 1` run really is serial;
+//! - results and panics go back to the submitter: `run_batch` returns
+//!   each job's value, or the payload of its panic, in submission
+//!   order. The pool catches every panic, so a panicking job never
+//!   kills a worker; the submitter decides whether to recover (the
+//!   cache fill retries the chunk serially) or to re-raise it with
+//!   [`std::panic::resume_unwind`] (the fleet driver).
 //!
 //! All queues hang off one mutex; job granularity here (a chunk of
 //! cluster growth evaluations, or a whole shard quantum) is far above
@@ -30,8 +36,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-/// A unit of work submitted to the pool: a boxed one-shot closure.
-pub(crate) type Job = Box<dyn FnOnce() + Send + 'static>;
+/// A queued unit of work: a batch job wrapped to report its result.
+type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// Pending-jobs state shared by workers and submitters.
 struct Queues {
@@ -87,10 +93,16 @@ impl std::fmt::Debug for WorkerPool {
     }
 }
 
-/// Completion counter for one `run_batch` call.
-struct Batch {
-    remaining: Mutex<usize>,
+/// One `run_batch` call: each job's result lands in its submission
+/// slot, and the submitter waits for `remaining` to reach zero.
+struct Batch<T> {
+    state: Mutex<BatchState<T>>,
     done: Condvar,
+}
+
+struct BatchState<T> {
+    remaining: usize,
+    results: Vec<Option<std::thread::Result<T>>>,
 }
 
 impl WorkerPool {
@@ -131,30 +143,40 @@ impl WorkerPool {
         self.shared.jobs_executed.load(Ordering::Relaxed)
     }
 
-    /// Runs `jobs` to completion. Jobs may themselves call `run_batch`
-    /// on the same pool: a submitter that is a pool worker helps drain
-    /// queues while it waits, so nested batches make progress even with
-    /// one worker. Panicking jobs are contained (the panic is swallowed
-    /// at the pool boundary and the batch still completes); callers that
-    /// need panic visibility must catch inside the job.
-    pub fn run_batch(&self, jobs: Vec<Job>) {
+    /// Runs `jobs` to completion and returns each job's result in
+    /// submission order: `Ok` with its value, or `Err` with the payload
+    /// of its panic. Jobs may themselves call `run_batch` on the same
+    /// pool: a submitter that is a pool worker helps drain queues while
+    /// it waits, so nested batches make progress even with one worker.
+    /// A panicking job is caught at the pool boundary, so the batch
+    /// still completes and the pool stays usable.
+    #[must_use = "a job's panic is only visible in its result"]
+    pub fn run_batch<T, F>(&self, jobs: Vec<F>) -> Vec<std::thread::Result<T>>
+    where
+        T: Send + 'static,
+        F: FnOnce() -> T + Send + 'static,
+    {
         if jobs.is_empty() {
-            return;
+            return Vec::new();
         }
         let batch = Arc::new(Batch {
-            remaining: Mutex::new(jobs.len()),
+            state: Mutex::new(BatchState {
+                remaining: jobs.len(),
+                results: jobs.iter().map(|_| None).collect(),
+            }),
             done: Condvar::new(),
         });
         let caller = WORKER_INDEX.with(|w| w.get());
         {
             let mut queues = self.shared.queues.lock().unwrap();
-            for job in jobs {
+            for (slot, job) in jobs.into_iter().enumerate() {
                 let batch = Arc::clone(&batch);
                 let wrapped: Job = Box::new(move || {
-                    let _ = catch_unwind(AssertUnwindSafe(job));
-                    let mut remaining = batch.remaining.lock().unwrap();
-                    *remaining -= 1;
-                    if *remaining == 0 {
+                    let result = catch_unwind(AssertUnwindSafe(job));
+                    let mut state = batch.state.lock().unwrap();
+                    state.results[slot] = Some(result);
+                    state.remaining -= 1;
+                    if state.remaining == 0 {
                         batch.done.notify_all();
                     }
                 });
@@ -171,18 +193,23 @@ impl WorkerPool {
         match caller {
             Some(index) => self.help_until_done(&batch, index),
             None => {
-                let mut remaining = batch.remaining.lock().unwrap();
-                while *remaining > 0 {
-                    remaining = batch.done.wait(remaining).unwrap();
+                let mut state = batch.state.lock().unwrap();
+                while state.remaining > 0 {
+                    state = batch.done.wait(state).unwrap();
                 }
             }
         }
+        let results = std::mem::take(&mut batch.state.lock().unwrap().results);
+        results
+            .into_iter()
+            .map(|result| result.expect("a finished batch holds every result"))
+            .collect()
     }
 
     /// Worker-side wait: drain queued jobs until the batch completes.
-    fn help_until_done(&self, batch: &Batch, index: usize) {
+    fn help_until_done<T>(&self, batch: &Batch<T>, index: usize) {
         loop {
-            if *batch.remaining.lock().unwrap() == 0 {
+            if batch.state.lock().unwrap().remaining == 0 {
                 return;
             }
             let job = {
@@ -197,11 +224,11 @@ impl WorkerPool {
                 None => {
                     // Nothing stealable; the batch's jobs are running on
                     // other workers. Wait for a completion signal.
-                    let remaining = batch.remaining.lock().unwrap();
-                    if *remaining > 0 {
+                    let state = batch.state.lock().unwrap();
+                    if state.remaining > 0 {
                         let (guard, _timeout) = batch
                             .done
-                            .wait_timeout(remaining, std::time::Duration::from_millis(1))
+                            .wait_timeout(state, std::time::Duration::from_millis(1))
                             .unwrap();
                         drop(guard);
                     }
@@ -283,15 +310,22 @@ mod tests {
     fn batch_runs_all_jobs() {
         let pool = WorkerPool::new(3);
         let hits = Arc::new(AtomicUsize::new(0));
-        let jobs: Vec<Job> = (0..64)
-            .map(|_| {
+        let jobs: Vec<_> = (0..64)
+            .map(|i| {
                 let hits = Arc::clone(&hits);
-                Box::new(move || {
+                move || {
                     hits.fetch_add(1, Ordering::SeqCst);
-                }) as Job
+                    i * 10
+                }
             })
             .collect();
-        pool.run_batch(jobs);
+        let values: Vec<usize> = pool
+            .run_batch(jobs)
+            .into_iter()
+            .map(|result| result.unwrap())
+            .collect();
+        let expected: Vec<usize> = (0..64).map(|i| i * 10).collect();
+        assert_eq!(values, expected, "results come back in submission order");
         assert_eq!(hits.load(Ordering::SeqCst), 64);
         assert_eq!(pool.jobs_executed(), 64);
     }
@@ -300,38 +334,46 @@ mod tests {
     fn nested_batches_do_not_deadlock_on_one_worker() {
         let pool = Arc::new(WorkerPool::new(1));
         let hits = Arc::new(AtomicUsize::new(0));
-        let outer: Vec<Job> = (0..4)
+        let outer: Vec<_> = (0..4)
             .map(|_| {
                 let pool = Arc::clone(&pool);
                 let hits = Arc::clone(&hits);
-                Box::new(move || {
-                    let inner: Vec<Job> = (0..8)
+                move || {
+                    let inner: Vec<_> = (0..8)
                         .map(|_| {
                             let hits = Arc::clone(&hits);
-                            Box::new(move || {
-                                hits.fetch_add(1, Ordering::SeqCst);
-                            }) as Job
+                            move || hits.fetch_add(1, Ordering::SeqCst)
                         })
                         .collect();
-                    pool.run_batch(inner);
-                }) as Job
+                    pool.run_batch(inner).len()
+                }
             })
             .collect();
-        pool.run_batch(outer);
+        let inner_lens: Vec<usize> = pool
+            .run_batch(outer)
+            .into_iter()
+            .map(|result| result.unwrap())
+            .collect();
+        assert_eq!(inner_lens, [8; 4]);
         assert_eq!(hits.load(Ordering::SeqCst), 32);
     }
 
     #[test]
     fn panicking_job_does_not_poison_the_pool() {
         let pool = WorkerPool::new(2);
-        let jobs: Vec<Job> = vec![Box::new(|| panic!("boom")), Box::new(|| {})];
-        pool.run_batch(jobs);
-        let ok = Arc::new(AtomicUsize::new(0));
-        let ok2 = Arc::clone(&ok);
-        pool.run_batch(vec![Box::new(move || {
-            ok2.fetch_add(1, Ordering::SeqCst);
-        })]);
-        assert_eq!(ok.load(Ordering::SeqCst), 1);
+        let jobs: Vec<Box<dyn FnOnce() -> u32 + Send>> =
+            vec![Box::new(|| 1), Box::new(|| panic!("boom")), Box::new(|| 3)];
+        let results = pool.run_batch(jobs);
+        assert_eq!(results.len(), 3);
+        assert_eq!(results[0].as_ref().ok(), Some(&1));
+        let payload = results[1].as_ref().expect_err("the panicking job's slot");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"));
+        assert_eq!(results[2].as_ref().ok(), Some(&3));
+        let after = pool.run_batch(vec![|| 7]);
+        assert_eq!(
+            after.into_iter().map(|r| r.unwrap()).collect::<Vec<_>>(),
+            [7]
+        );
     }
 
     #[test]
@@ -341,17 +383,17 @@ mod tests {
         let pool = WorkerPool::new(1);
         let main = std::thread::current().id();
         let ran_on_main = Arc::new(AtomicUsize::new(0));
-        let jobs: Vec<Job> = (0..8)
+        let jobs: Vec<_> = (0..8)
             .map(|_| {
                 let ran_on_main = Arc::clone(&ran_on_main);
-                Box::new(move || {
+                move || {
                     if std::thread::current().id() == main {
                         ran_on_main.fetch_add(1, Ordering::SeqCst);
                     }
-                }) as Job
+                }
             })
             .collect();
-        pool.run_batch(jobs);
+        assert!(pool.run_batch(jobs).iter().all(Result::is_ok));
         assert_eq!(ran_on_main.load(Ordering::SeqCst), 0);
     }
 }

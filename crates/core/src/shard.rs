@@ -45,11 +45,10 @@
 use crate::budget::BudgetPool;
 use crate::checkpoint::{ShardCheckpoint, ShardedCheckpoint};
 use crate::engine::splitmix64_seed;
-use crate::pool::Job;
 use crate::{Config, Outcome, ResumeError, Session, SixGen, Step, WorkerPool};
 use sixgen_addr::{NybbleAddr, Prefix};
-use sixgen_obs::maybe_span;
-use std::sync::{Arc, Mutex};
+use sixgen_obs::{maybe_span, Span, SpanId};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Derives a shard's RNG seed from the global run seed and its prefix
@@ -172,7 +171,8 @@ pub fn run_sharded_with(
     let mut budget_pool = BudgetPool::new(global_budget);
     let leases = budget_pool.lease_proportional(&shares);
 
-    let driver = Driver::new(&config, workers, specs.len());
+    let driver = Driver::new(&config, workers);
+    let root = driver.root_span(&config, specs.len());
     // Announce the initial proportional leases before the sessions start
     // (sessions then announce themselves with their lease as budget).
     if let Some(bus) = driver.live_events() {
@@ -186,12 +186,12 @@ pub fn run_sharded_with(
     }
     let mut cells: Vec<Cell> = Vec::with_capacity(specs.len());
     for ((index, (spec, seeds)), lease) in specs.iter().zip(seed_sets).enumerate().zip(&leases) {
-        let shard_config = driver.shard_config(&config, spec.prefix, *lease, index);
+        let shard_config = driver.shard_config(&config, spec.prefix, *lease, index, root.id());
         let mut session = SixGen::new(seeds, shard_config).session();
         session.set_defer_exhaustion(true);
-        cells.push(Cell::new(spec.prefix, session));
+        cells.push(Cell::new(spec.prefix, shares[index], session));
     }
-    driver.run(cells, shares, budget_pool, 0, config, at_barrier)
+    driver.run(cells, budget_pool, 0, &config, root, at_barrier)
 }
 
 /// Resumes a sharded fleet from a checkpoint envelope, continuing
@@ -239,31 +239,38 @@ pub fn resume_sharded_with(
     )
     .ok_or(ResumeError::Corrupt("pool exceeds the global budget"))?;
 
-    let driver = Driver::new(&config, workers, envelope.shards.len());
-    let mut shares: Vec<u64> = Vec::with_capacity(envelope.shards.len());
+    let driver = Driver::new(&config, workers);
+    let root = driver.root_span(&config, envelope.shards.len());
     let mut cells: Vec<Cell> = Vec::with_capacity(envelope.shards.len());
     for (index, shard) in envelope.shards.into_iter().enumerate() {
         let shard_config =
-            driver.shard_config(&config, shard.prefix, shard.engine.budget, index);
-        shares.push(shard.engine.seeds.len() as u64);
+            driver.shard_config(&config, shard.prefix, shard.engine.budget, index, root.id());
+        let share = shard.engine.seeds.len() as u64;
         let mut session = Session::resume(shard.engine, shard_config)?;
         session.set_defer_exhaustion(true);
-        let mut cell = Cell::new(shard.prefix, session);
+        let mut cell = Cell::new(shard.prefix, share, session);
         cell.returned = shard.returned;
         cells.push(cell);
     }
-    Ok(driver.run(cells, shares, budget_pool, envelope.epochs, config, at_barrier))
+    Ok(driver.run(
+        cells,
+        budget_pool,
+        envelope.epochs,
+        &config,
+        root,
+        at_barrier,
+    ))
 }
 
-/// Per-shard scheduler state. Each cell is touched by exactly one pool
-/// job per epoch; the mutex makes the handoff between the driver thread
-/// (barriers) and pool workers (epochs) sound.
+/// Per-shard scheduler state. The driver owns every cell; an epoch
+/// moves each runnable cell into its pool job, and the job hands it
+/// back as its result.
 #[derive(Debug)]
 struct Cell {
     prefix: Prefix,
-    /// `None` only transiently (never observed: jobs and barriers both
-    /// run with the lock held).
-    session: Option<Session>,
+    /// The shard's deduplicated seed count, its weight in every lease.
+    share: u64,
+    session: Session,
     state: ShardState,
     /// Busy wall time accumulated across the shard's epoch quanta.
     busy: Duration,
@@ -283,7 +290,7 @@ enum ShardState {
 }
 
 impl Cell {
-    fn new(prefix: Prefix, session: Session) -> Cell {
+    fn new(prefix: Prefix, share: u64, session: Session) -> Cell {
         let state = if session.termination().is_some() {
             // Born finished (NoSeeds, or a lease below the seed count
             // exhausting at init).
@@ -293,11 +300,50 @@ impl Cell {
         };
         Cell {
             prefix,
-            session: Some(session),
+            share,
+            session,
             state,
             busy: Duration::ZERO,
             returned: 0,
         }
+    }
+
+    /// One epoch quantum: steps the session until it parks or
+    /// terminates. `index` is the shard's position in prefix order,
+    /// which keys its progress events.
+    fn run_quantum(&mut self, index: usize, events: Option<&sixgen_obs::EventBus>) {
+        let quantum = Instant::now();
+        let session = &mut self.session;
+        loop {
+            match session.step() {
+                Step::Grew => continue,
+                Step::NeedsBudget => {
+                    self.state = ShardState::Hungry;
+                    if let Some(bus) = events.filter(|bus| bus.is_enabled()) {
+                        bus.publish(sixgen_obs::ProgressEvent::Park {
+                            shard: index as u64,
+                            budget_used: session.budget_used(),
+                            budget: session.budget(),
+                        });
+                    }
+                    break;
+                }
+                Step::Done(termination) => {
+                    self.state = ShardState::Done;
+                    if let Some(bus) = events.filter(|bus| bus.is_enabled()) {
+                        bus.publish(sixgen_obs::ProgressEvent::ShardDone {
+                            shard: index as u64,
+                            termination: termination.label(),
+                            rounds: session.rounds(),
+                            budget_used: session.budget_used(),
+                            unspent: session.budget() - session.budget_used(),
+                        });
+                    }
+                    break;
+                }
+            }
+        }
+        self.busy += quantum.elapsed();
     }
 }
 
@@ -311,7 +357,7 @@ struct Driver {
 }
 
 impl Driver {
-    fn new(config: &Config, workers: usize, _shards: usize) -> Driver {
+    fn new(config: &Config, workers: usize) -> Driver {
         let workers = crate::pool::resolve_threads(workers);
         let pool = config
             .pool
@@ -331,30 +377,50 @@ impl Driver {
         self.events.as_deref().filter(|bus| bus.is_enabled())
     }
 
+    /// Opens the fleet's `sharded/run` span under the caller's
+    /// [`Config::trace_parent`]. It opens before any shard session
+    /// exists, so each session's `engine/run` span nests under it.
+    fn root_span<'c>(&self, global: &'c Config, shards: usize) -> Span<'c> {
+        let trace = global.trace.as_deref();
+        let mut root = maybe_span(trace, "sharded", "run", global.trace_parent);
+        root.attr("shards", shards as u64);
+        root.attr("workers", self.workers as u64);
+        root.attr("budget", global.budget);
+        root
+    }
+
     /// Derives one shard's session config from the global one. `index`
     /// is the shard's position in prefix order; it keys the session's
     /// progress events exactly like the `engine/shard/{index}/*` metric
-    /// names assemble records.
-    fn shard_config(&self, global: &Config, prefix: Prefix, lease: u64, index: usize) -> Config {
+    /// names assemble records. `root` is the fleet's `sharded/run` span.
+    fn shard_config(
+        &self,
+        global: &Config,
+        prefix: Prefix,
+        lease: u64,
+        index: usize,
+        root: SpanId,
+    ) -> Config {
         Config {
             budget: lease,
             rng_seed: shard_rng_seed(global.rng_seed, prefix),
             pool: Some(Arc::clone(&self.pool)),
+            trace_parent: root,
             shard_id: index as u64,
             ..global.clone()
         }
     }
 
-    /// The epoch loop (see module docs). `cells` arrive Runnable (fresh
-    /// or resumed) or Done (born finished); `budget_pool` holds whatever
-    /// is unassigned.
+    /// The epoch loop (see module docs). `cells` arrive in prefix order,
+    /// Runnable (fresh or resumed) or Done (born finished);
+    /// `budget_pool` holds whatever is unassigned.
     fn run(
         self,
-        cells: Vec<Cell>,
-        shares: Vec<u64>,
+        mut cells: Vec<Cell>,
         mut budget_pool: BudgetPool,
         prior_epochs: u64,
-        global: Config,
+        global: &Config,
+        mut root: Span<'_>,
         mut at_barrier: impl FnMut(&ShardedCheckpoint),
     ) -> ShardedOutcome {
         let fleet_started = Instant::now();
@@ -365,51 +431,26 @@ impl Driver {
             // so an observer attached mid-run sees the right total.
             bus.set_budget_total(global.budget);
         }
-        let trace = global.trace.clone();
-        let trace = trace.as_deref();
-        let mut root = maybe_span(trace, "sharded", "run", global.trace_parent);
-        root.attr("shards", cells.len() as u64);
-        root.attr("workers", self.workers as u64);
-        root.attr("budget", global.budget);
-        let root_id = root.id();
-        // Re-parent every shard session's `engine/run` root under the
-        // fleet root. Sessions were created before this span existed, so
-        // their spans already carry `trace_parent` from `shard_config`;
-        // fix up here instead by creating the fleet root *before* the
-        // sessions would be — see `shard_config` callers, which pass
-        // `global.trace_parent` through. (Per-shard engine spans created
-        // at session start use the parent configured there; the summary
-        // `sharded/shard` spans below always nest under this root.)
-        let _ = root_id;
-
-        let cells: Arc<Vec<Mutex<Cell>>> = Arc::new(cells.into_iter().map(Mutex::new).collect());
         let mut epochs = prior_epochs;
         let cancelled = |g: &Config| g.cancel.as_ref().is_some_and(|t| t.is_cancelled());
 
         loop {
-            let runnable: Vec<usize> = self.states(&cells, ShardState::Runnable);
-            if !runnable.is_empty() {
-                self.run_epoch(&cells, &runnable);
+            if cells.iter().any(|cell| cell.state == ShardState::Runnable) {
+                self.run_epoch(&mut cells);
                 epochs += 1;
             }
-            self.collect_returns(&cells, &mut budget_pool);
-            at_barrier(&self.make_checkpoint(&cells, &budget_pool, &global, epochs));
+            self.collect_returns(&mut cells, &mut budget_pool);
+            at_barrier(&self.make_checkpoint(&cells, &budget_pool, global, epochs));
             self.publish_barrier(&cells, &budget_pool, epochs);
-            if cancelled(&global) {
+            if cancelled(global) {
                 break;
             }
-            let hungry = self.states(&cells, ShardState::Hungry);
+            let hungry: Vec<usize> = (0..cells.len())
+                .filter(|&i| cells[i].state == ShardState::Hungry)
+                .collect();
             if hungry.is_empty() {
                 // Everyone terminated: the fleet is done.
-                let outcome = self.assemble(
-                    cells,
-                    budget_pool,
-                    epochs,
-                    global,
-                    fleet_started,
-                    &mut root,
-                );
-                return outcome;
+                return self.assemble(cells, budget_pool, epochs, global, fleet_started, &mut root);
             }
             if budget_pool.unassigned() == 0 {
                 break;
@@ -417,21 +458,16 @@ impl Driver {
             // Re-lease the whole pool to the hungry shards, proportional
             // to their seed shares; zero-grant shards (pool smaller than
             // the hungry count) stay parked.
-            let hungry_shares: Vec<u64> = hungry.iter().map(|&i| shares[i]).collect();
+            let hungry_shares: Vec<u64> = hungry.iter().map(|&i| cells[i].share).collect();
             let grants = budget_pool.lease_proportional(&hungry_shares);
             let mut granted_any = false;
             for (&i, &grant) in hungry.iter().zip(&grants) {
                 if grant == 0 {
                     continue;
                 }
-                let mut cell = cells[i].lock().unwrap();
-                cell.session
-                    .as_mut()
-                    .expect("live cell holds a session")
-                    .add_budget(grant);
-                cell.state = ShardState::Runnable;
+                cells[i].session.add_budget(grant);
+                cells[i].state = ShardState::Runnable;
                 granted_any = true;
-                drop(cell);
                 if let Some(bus) = self.live_events() {
                     bus.publish(sixgen_obs::ProgressEvent::Lease {
                         shard: i as u64,
@@ -449,104 +485,61 @@ impl Driver {
         // cancelled). Switch deferred exhaustion off so still-hungry
         // shards run Algorithm 1's exact final-sampling path — or, if
         // cancelled, observe the token — in one last epoch.
-        let pending: Vec<usize> = (0..cells.len())
-            .filter(|&i| cells[i].lock().unwrap().state != ShardState::Done)
-            .collect();
-        if !pending.is_empty() {
-            for &i in &pending {
-                let mut cell = cells[i].lock().unwrap();
-                cell.session
-                    .as_mut()
-                    .expect("live cell holds a session")
-                    .set_defer_exhaustion(false);
+        let mut pending = false;
+        for cell in &mut cells {
+            if cell.state != ShardState::Done {
+                cell.session.set_defer_exhaustion(false);
                 cell.state = ShardState::Runnable;
+                pending = true;
             }
-            self.run_epoch(&cells, &pending);
+        }
+        if pending {
+            self.run_epoch(&mut cells);
             epochs += 1;
-            self.collect_returns(&cells, &mut budget_pool);
-            at_barrier(&self.make_checkpoint(&cells, &budget_pool, &global, epochs));
+            self.collect_returns(&mut cells, &mut budget_pool);
+            at_barrier(&self.make_checkpoint(&cells, &budget_pool, global, epochs));
             self.publish_barrier(&cells, &budget_pool, epochs);
         }
         self.assemble(cells, budget_pool, epochs, global, fleet_started, &mut root)
     }
 
-    /// Indices of cells currently in `state`.
-    fn states(&self, cells: &Arc<Vec<Mutex<Cell>>>, state: ShardState) -> Vec<usize> {
-        (0..cells.len())
-            .filter(|&i| cells[i].lock().unwrap().state == state)
-            .collect()
-    }
-
     /// Runs one epoch: each runnable shard steps until it parks or
-    /// terminates, as one pool job per shard. The batch completing is
-    /// the epoch barrier.
-    fn run_epoch(&self, cells: &Arc<Vec<Mutex<Cell>>>, runnable: &[usize]) {
-        let jobs: Vec<Job> = runnable
-            .iter()
-            .map(|&i| {
-                let cells = Arc::clone(cells);
-                let events = self.events.clone();
-                Box::new(move || {
-                    let mut guard = cells[i].lock().unwrap();
-                    let cell = &mut *guard;
-                    let session = cell.session.as_mut().expect("live cell holds a session");
-                    let quantum = Instant::now();
-                    loop {
-                        match session.step() {
-                            Step::Grew => continue,
-                            Step::NeedsBudget => {
-                                cell.state = ShardState::Hungry;
-                                if let Some(bus) =
-                                    events.as_deref().filter(|bus| bus.is_enabled())
-                                {
-                                    bus.publish(sixgen_obs::ProgressEvent::Park {
-                                        shard: i as u64,
-                                        budget_used: session.budget_used(),
-                                        budget: session.budget(),
-                                    });
-                                }
-                                break;
-                            }
-                            Step::Done(termination) => {
-                                cell.state = ShardState::Done;
-                                if let Some(bus) =
-                                    events.as_deref().filter(|bus| bus.is_enabled())
-                                {
-                                    bus.publish(sixgen_obs::ProgressEvent::ShardDone {
-                                        shard: i as u64,
-                                        termination: termination.label(),
-                                        rounds: session.rounds(),
-                                        budget_used: session.budget_used(),
-                                        unspent: session.budget() - session.budget_used(),
-                                    });
-                                }
-                                break;
-                            }
-                        }
-                    }
-                    cell.busy += quantum.elapsed();
-                }) as Job
-            })
-            .collect();
-        self.pool.run_batch(jobs);
+    /// terminates, as one pool job that owns the shard's cell and hands
+    /// it back. The batch completing is the epoch barrier. A shard whose
+    /// step panicked re-raises its panic here, on the driver thread, so
+    /// the fleet fails with the shard's own payload.
+    fn run_epoch(&self, cells: &mut Vec<Cell>) {
+        let mut jobs = Vec::new();
+        let mut idle = Vec::with_capacity(cells.len());
+        for (index, mut cell) in std::mem::take(cells).into_iter().enumerate() {
+            if cell.state != ShardState::Runnable {
+                idle.push(cell);
+                continue;
+            }
+            let events = self.events.clone();
+            jobs.push(move || {
+                cell.run_quantum(index, events.as_deref());
+                cell
+            });
+        }
+        *cells = idle;
+        for stepped in self.pool.run_batch(jobs) {
+            cells.push(stepped.unwrap_or_else(|payload| std::panic::resume_unwind(payload)));
+        }
+        cells.sort_by_key(|cell| cell.prefix);
     }
 
     /// Publishes a [`Barrier`](sixgen_obs::ProgressEvent::Barrier) event
     /// snapshotting the fleet state at an epoch boundary. The O(shards)
     /// state walk only happens when the bus is present and enabled.
-    fn publish_barrier(
-        &self,
-        cells: &Arc<Vec<Mutex<Cell>>>,
-        budget_pool: &BudgetPool,
-        epochs: u64,
-    ) {
+    fn publish_barrier(&self, cells: &[Cell], budget_pool: &BudgetPool, epochs: u64) {
         let Some(bus) = self.live_events() else {
             return;
         };
         let mut done = 0u64;
         let mut hungry = 0u64;
-        for cell in cells.iter() {
-            match cell.lock().unwrap().state {
+        for cell in cells {
+            match cell.state {
                 ShardState::Done => done += 1,
                 ShardState::Hungry => hungry += 1,
                 ShardState::Runnable => {}
@@ -564,14 +557,12 @@ impl Driver {
     /// `returned` marker keeps this idempotent across barriers and
     /// across interrupt/resume (a re-derived termination returns only
     /// what was never collected).
-    fn collect_returns(&self, cells: &Arc<Vec<Mutex<Cell>>>, budget_pool: &mut BudgetPool) {
-        for cell in cells.iter() {
-            let mut cell = cell.lock().unwrap();
+    fn collect_returns(&self, cells: &mut [Cell], budget_pool: &mut BudgetPool) {
+        for cell in cells {
             if cell.state != ShardState::Done {
                 continue;
             }
-            let session = cell.session.as_ref().expect("live cell holds a session");
-            let unspent = session.budget() - session.budget_used();
+            let unspent = cell.session.budget() - cell.session.budget_used();
             let delta = unspent.saturating_sub(cell.returned);
             if delta > 0 {
                 budget_pool.give_back(delta);
@@ -584,7 +575,7 @@ impl Driver {
     /// driver thread is the only one running).
     fn make_checkpoint(
         &self,
-        cells: &Arc<Vec<Mutex<Cell>>>,
+        cells: &[Cell],
         budget_pool: &BudgetPool,
         global: &Config,
         epochs: u64,
@@ -596,17 +587,10 @@ impl Driver {
             epochs,
             shards: cells
                 .iter()
-                .map(|cell| {
-                    let cell = cell.lock().unwrap();
-                    ShardCheckpoint {
-                        prefix: cell.prefix,
-                        returned: cell.returned,
-                        engine: cell
-                            .session
-                            .as_ref()
-                            .expect("live cell holds a session")
-                            .checkpoint(),
-                    }
+                .map(|cell| ShardCheckpoint {
+                    prefix: cell.prefix,
+                    returned: cell.returned,
+                    engine: cell.session.checkpoint(),
                 })
                 .collect(),
         }
@@ -616,26 +600,21 @@ impl Driver {
     /// metrics and summary spans, and merges the outputs.
     fn assemble(
         &self,
-        cells: Arc<Vec<Mutex<Cell>>>,
+        cells: Vec<Cell>,
         budget_pool: BudgetPool,
         epochs: u64,
-        global: Config,
+        global: &Config,
         fleet_started: Instant,
-        root: &mut sixgen_obs::Span<'_>,
+        root: &mut Span<'_>,
     ) -> ShardedOutcome {
-        let cells = Arc::into_inner(cells)
-            .expect("epoch jobs have completed; the driver holds the only reference");
-        let trace = global.trace.clone();
-        let trace = trace.as_deref();
+        let trace = global.trace.as_deref();
         let mut shards: Vec<ShardOutcome> = Vec::with_capacity(cells.len());
         let mut targets: Vec<NybbleAddr> = Vec::new();
         let mut budget_used = 0u64;
         for (index, cell) in cells.into_iter().enumerate() {
-            let cell = cell.into_inner().unwrap();
             debug_assert_eq!(cell.state, ShardState::Done, "assemble before termination");
-            let session = cell.session.expect("live cell holds a session");
-            let lease = session.budget();
-            let outcome = session.finish();
+            let lease = cell.session.budget();
+            let outcome = cell.session.finish();
             budget_used += outcome.stats.budget_used;
             if let Some(registry) = &global.metrics {
                 // Deterministic per-shard attribution: pure functions of

@@ -7,10 +7,11 @@
 
 use sixgen_core::{
     resume_sharded, run_sharded, run_sharded_with, shard_rng_seed, CancelToken, ClusterMode,
-    Config, ShardSpec, ShardedCheckpoint, ShardedOutcome,
+    Config, PanicInjection, ShardSpec, ShardedCheckpoint, ShardedOutcome,
 };
 use sixgen_addr::{NybbleAddr, Prefix};
-use sixgen_obs::MetricsRegistry;
+use sixgen_obs::{MetricsRegistry, TraceSink};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// Builds a deterministic multi-prefix world: `prefixes` routed /48s,
@@ -354,3 +355,59 @@ fn degenerate_fleets() {
     assert_eq!(fleet.targets, plain.targets.as_slice().to_vec());
 }
 
+/// Every shard session's `engine/run` span nests under the fleet's
+/// `sharded/run` span, in a fresh fleet and in a resumed one.
+#[test]
+fn shard_engine_spans_nest_under_the_fleet_root() {
+    let traced = |sink: &Arc<TraceSink>| Config {
+        trace: Some(Arc::clone(sink)),
+        ..config(ClusterMode::Loose, 400)
+    };
+    let assert_nested = |sink: &TraceSink, label: &str| {
+        let spans = sink.snapshot();
+        let roots: Vec<u64> = spans
+            .iter()
+            .filter(|s| s.category == "sharded" && s.name == "run")
+            .map(|s| s.id)
+            .collect();
+        assert_eq!(roots.len(), 1, "{label}: one fleet root");
+        let parents: Vec<u64> = spans
+            .iter()
+            .filter(|s| s.category == "engine" && s.name == "run")
+            .map(|s| s.parent)
+            .collect();
+        assert_eq!(parents, [roots[0]; 2], "{label}: engine/run parents");
+    };
+    let fresh = TraceSink::shared();
+    let mut envelopes: Vec<ShardedCheckpoint> = Vec::new();
+    run_sharded_with(world(2, 20), traced(&fresh), 2, |env| {
+        envelopes.push(env.clone())
+    });
+    assert_nested(&fresh, "fresh");
+    let resumed = TraceSink::shared();
+    resume_sharded(envelopes[0].clone(), traced(&resumed), 2).expect("resume");
+    assert_nested(&resumed, "resumed");
+}
+
+/// A shard whose step panics fails the whole fleet with its own panic,
+/// re-raised on the calling thread. With one thread per session the
+/// cache fill runs serially, outside any `catch_unwind`, so the
+/// injected panic escapes `Session::step` inside the shard's pool job.
+#[test]
+fn a_panicking_shard_fails_the_fleet_with_its_own_message() {
+    let cfg = Config {
+        threads: 1,
+        panic_injection: Some(PanicInjection {
+            range_size: 1,
+            parallel_only: false,
+        }),
+        ..config(ClusterMode::Loose, 400)
+    };
+    let payload = catch_unwind(AssertUnwindSafe(|| run_sharded(world(2, 20), cfg, 2)))
+        .expect_err("the injected panic fails the fleet");
+    let message = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+    assert_eq!(message, Some("injected growth panic (test hook)"));
+}
