@@ -191,14 +191,14 @@ fn checkpoint_io(_opts: &ExperimentOptions) -> Result<String, String> {
     let mut writer = CheckpointWriter::with_policy(&path, 3, Duration::from_millis(1));
     writer.inject_failures = 2;
     writer
-        .write(&early)
+        .write(&early.to_bytes())
         .map_err(|e| format!("write failed despite retry budget: {e}"))?;
     EngineCheckpoint::load(&path).map_err(|e| format!("persisted checkpoint unreadable: {e}"))?;
 
     // Persistent: more faults than attempts — the write must fail, and the
     // file must still hold the earlier checkpoint, still resumable.
     writer.inject_failures = 10;
-    if writer.write(&late).is_ok() {
+    if writer.write(&late.to_bytes()).is_ok() {
         return Err("persistently faulted write reported success".into());
     }
     let survived =

@@ -54,9 +54,10 @@ pub struct WorldRunConfig {
     /// the prober; the pipeline additionally records per-prefix runtime
     /// (`bench/prefix_run`) and scan/dealias probe counters.
     pub metrics: Option<Arc<MetricsRegistry>>,
-    /// Optional trace sink, shared with every per-prefix 6Gen run and the
-    /// prober. The pipeline records a `bench/run_world` root span and one
-    /// `bench/prefix_run` span per routed prefix nested under it.
+    /// Optional trace sink, shared with the sharded fleet and the prober.
+    /// The pipeline records one `bench/run_world` root span, and the
+    /// fleet's `sharded/run` span nests under it. Per-prefix runtime is
+    /// the `bench/prefix_run` duration histogram in `metrics`, not a span.
     pub trace: Option<Arc<TraceSink>>,
     /// Optional progress-event bus, shared with the sharded fleet so a
     /// live observer can follow per-prefix generation. Observational

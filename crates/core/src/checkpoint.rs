@@ -753,7 +753,8 @@ impl ShardedCheckpoint {
 }
 
 /// Writes checkpoints to a fixed path with atomic replace and bounded
-/// retry/backoff.
+/// retry/backoff, and owns the checkpoint cadence
+/// ([`at_boundary`](Self::at_boundary)).
 ///
 /// Every write goes through [`sixgen_obs::write_atomic`] (temp file +
 /// rename), so the destination always holds a complete checkpoint — a
@@ -767,6 +768,12 @@ pub struct CheckpointWriter {
     path: PathBuf,
     retries: u32,
     backoff: Duration,
+    /// [`at_boundary`](Self::at_boundary) writes at every `every`-th
+    /// boundary.
+    every: u64,
+    /// Set once an [`at_boundary`](Self::at_boundary) write failed
+    /// persistently: no later boundary writes.
+    stopped: bool,
     writes: u64,
     /// Test hook: the next `n` write attempts fail with a synthetic I/O
     /// error before touching the filesystem. Drives the chaos harness's
@@ -795,9 +802,18 @@ impl CheckpointWriter {
             path: path.into(),
             retries,
             backoff,
+            every: 1,
+            stopped: false,
             writes: 0,
             inject_failures: 0,
         }
+    }
+
+    /// Sets the cadence of [`at_boundary`](Self::at_boundary); 0 counts
+    /// as 1, the default.
+    pub fn every(mut self, every: u64) -> CheckpointWriter {
+        self.every = every.max(1);
+        self
     }
 
     /// The destination path.
@@ -810,19 +826,29 @@ impl CheckpointWriter {
         self.writes
     }
 
-    /// Serializes and persists `checkpoint`, retrying transient failures.
+    /// The checkpoint cadence at round or epoch boundary number
+    /// `boundary`: at every `every`-th boundary, persists the bytes
+    /// `encode` returns (`encode` runs only then). A write that fails
+    /// persistently is returned once, and the writer then writes at no
+    /// later boundary. The run itself goes on unaffected: a resume
+    /// replays from the last checkpoint that landed.
+    pub fn at_boundary(
+        &mut self,
+        boundary: u64,
+        encode: impl FnOnce() -> Vec<u8>,
+    ) -> std::io::Result<()> {
+        if self.stopped || !boundary.is_multiple_of(self.every) {
+            return Ok(());
+        }
+        let written = self.write(&encode());
+        self.stopped = written.is_err();
+        written
+    }
+
+    /// Persists an encoded checkpoint ([`EngineCheckpoint::to_bytes`] or
+    /// [`ShardedCheckpoint::to_bytes`]), retrying transient failures.
     /// Returns the last error once the retry budget is exhausted.
-    pub fn write(&mut self, checkpoint: &EngineCheckpoint) -> std::io::Result<()> {
-        self.write_bytes(&checkpoint.to_bytes())
-    }
-
-    /// Serializes and persists a sharded envelope with the same atomic
-    /// replace and retry policy as [`write`](Self::write).
-    pub fn write_sharded(&mut self, checkpoint: &ShardedCheckpoint) -> std::io::Result<()> {
-        self.write_bytes(&checkpoint.to_bytes())
-    }
-
-    fn write_bytes(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+    pub fn write(&mut self, bytes: &[u8]) -> std::io::Result<()> {
         let mut delay = self.backoff;
         let mut last_error = None;
         for attempt in 0..=self.retries {
@@ -1057,7 +1083,7 @@ mod tests {
         // Two injected faults, four retries: the write must succeed.
         let mut writer = CheckpointWriter::with_policy(&path, 4, Duration::from_millis(1));
         writer.inject_failures = 2;
-        writer.write(&checkpoint).unwrap();
+        writer.write(&checkpoint.to_bytes()).unwrap();
         assert_eq!(writer.writes(), 1);
         assert_eq!(EngineCheckpoint::load(&path).unwrap(), checkpoint);
 
@@ -1066,7 +1092,7 @@ mod tests {
         let mut altered = checkpoint.clone();
         altered.rounds += 1;
         writer.inject_failures = 10;
-        assert!(writer.write(&altered).is_err());
+        assert!(writer.write(&altered.to_bytes()).is_err());
         assert_eq!(EngineCheckpoint::load(&path).unwrap(), checkpoint);
 
         // A stray torn temp file never shadows the real checkpoint.
@@ -1176,6 +1202,49 @@ mod tests {
     }
 
     #[test]
+    fn cadence_writes_every_nth_boundary_until_a_persistent_failure() {
+        let dir = std::env::temp_dir().join(format!("sixgen-cadence-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("state.ckpt");
+
+        let mut writer = CheckpointWriter::with_policy(&path, 2, Duration::from_millis(1)).every(3);
+        let mut written = Vec::new();
+        for boundary in 1..=10u64 {
+            writer
+                .at_boundary(boundary, || {
+                    written.push(boundary);
+                    boundary.to_le_bytes().to_vec()
+                })
+                .unwrap();
+        }
+        assert_eq!(written, [3, 6, 9]);
+        assert_eq!(writer.writes(), 3);
+        assert_eq!(std::fs::read(&path).unwrap(), 9u64.to_le_bytes());
+
+        // More injected faults than the three attempts: the failure is
+        // reported once, and no later boundary encodes or attempts a write.
+        let mut writer = CheckpointWriter::with_policy(&path, 2, Duration::from_millis(1));
+        writer.inject_failures = 5;
+        let mut encoded = Vec::new();
+        let failures: Vec<u64> = (1..=4u64)
+            .filter(|&boundary| {
+                writer
+                    .at_boundary(boundary, || {
+                        encoded.push(boundary);
+                        vec![0]
+                    })
+                    .is_err()
+            })
+            .collect();
+        assert_eq!(failures, [1]);
+        assert_eq!(encoded, [1]);
+        assert_eq!(writer.inject_failures, 2, "three attempts, then none");
+        assert_eq!(writer.writes(), 0);
+        assert_eq!(std::fs::read(&path).unwrap(), 9u64.to_le_bytes());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn sharded_writer_round_trips_through_disk() {
         let dir =
             std::env::temp_dir().join(format!("sixgen-shck-test-{}", std::process::id()));
@@ -1183,7 +1252,7 @@ mod tests {
         let path = dir.join("fleet.ckpt");
         let envelope = sample_sharded();
         let mut writer = CheckpointWriter::with_policy(&path, 4, Duration::from_millis(1));
-        writer.write_sharded(&envelope).unwrap();
+        writer.write(&envelope.to_bytes()).unwrap();
         assert_eq!(ShardedCheckpoint::load(&path).unwrap(), envelope);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -10,7 +10,9 @@ use crate::Config;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sixgen_addr::{NybbleAddr, NybbleTree, PackedMasks, Range};
-use sixgen_obs::{maybe_span, Counter, Histogram, MetricsRegistry, PhaseTimer, SpanId, TraceSink};
+use sixgen_obs::{
+    maybe_span, Counter, Histogram, MetricsRegistry, PhaseTimer, Span, SpanId, TraceSink,
+};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -147,9 +149,10 @@ impl IncrementalState {
 /// Candidate/range histograms and the re-exported `RunStats` counters are
 /// deterministic (pure functions of seeds + config); phase timers and the
 /// growth-evaluation latency histogram are wall-clock and live in the
-/// export's timing section. Counters accumulate, so several runs sharing
-/// one registry (e.g. the bench pipeline's per-prefix runs) report
-/// aggregate totals.
+/// export's timing section. Each timing sample is the duration of the
+/// phase's or evaluation's span, traced or not. Counters accumulate, so
+/// several runs sharing one registry (e.g. the bench pipeline's
+/// per-prefix runs) report aggregate totals.
 #[derive(Debug, Clone)]
 struct EngineMetrics {
     cache_fill: Arc<PhaseTimer>,
@@ -463,7 +466,8 @@ impl SixGen {
     /// With metrics enabled, records the candidate-set size and distinct
     /// ranges evaluated (deterministic — histogram totals are identical
     /// regardless of worker scheduling, since atomic adds commute) and the
-    /// evaluation's wall-clock latency (timing section). With tracing
+    /// evaluation's wall-clock latency (timing section), which is the
+    /// duration of the evaluation's `growth_eval` span. With tracing
     /// enabled, records one `growth_eval` span per cluster per round,
     /// carrying the cluster's identity (low 64 bits of its range minimum),
     /// candidate-set size, ranges evaluated, and the chosen growth's
@@ -483,7 +487,6 @@ impl SixGen {
                 panic!("injected growth panic (test hook)");
             }
         }
-        let started = Instant::now();
         let mut span = maybe_span(trace, "engine", "growth_eval", parent);
         span.attr("cluster", cluster.range.min_address().bits() as u64);
         let mut state = splitmix64_seed(
@@ -517,7 +520,10 @@ impl SixGen {
         if let Some(m) = metrics {
             m.candidate_set_size.record(eval.candidates);
             m.ranges_evaluated.record(eval.ranges_evaluated);
-            m.growth_eval.record_duration(started.elapsed());
+            // Only a caller of the duration ends the span explicitly:
+            // without metrics, an untraced span drops without a second
+            // clock read.
+            m.growth_eval.record_duration(span.end());
         }
         match eval.growth {
             Some(growth) => Cached::Ready(growth),
@@ -618,6 +624,12 @@ impl std::error::Error for ResumeError {}
 /// The immutable inputs (seed list, nybble tree, config) stay in the
 /// wrapped [`SixGen`]; everything here is the loop state that Algorithm 1
 /// mutates per round.
+///
+/// With a trace sink, the session's `engine/run` span runs from its start
+/// (or resume) to its termination and is recorded when it terminates. A
+/// session dropped before it terminates, such as one checkpointed and
+/// abandoned, records no `engine/run` span; its phase spans still name
+/// the reserved id as their parent.
 #[derive(Debug)]
 pub struct Session {
     engine: SixGen,
@@ -654,9 +666,12 @@ pub struct Session {
     /// cumulative figure lives in [`RunStats::wall_time`]).
     deadline: Option<Instant>,
     metrics: Option<EngineMetrics>,
-    /// Id of this segment's root `engine/run` span (recorded at session
-    /// start; per-round phase spans parent under it).
+    /// Id of this segment's `engine/run` span: reserved by
+    /// `open_observers`, recorded by `close_observers`.
     root: SpanId,
+    /// The checkpoint's round counter for a resumed segment: the root
+    /// span's `resumed_at_round` attribute.
+    resumed_at_round: Option<u64>,
     /// Worker pool for parallel cache fills: [`Config::pool`] if set,
     /// else a private pool created at start when `threads > 1`.
     pool: Option<Arc<crate::WorkerPool>>,
@@ -679,13 +694,6 @@ impl Session {
         let started = Instant::now();
         let deadline = engine.config.time_limit.map(|limit| started + limit);
         let metrics = engine.config.metrics.as_deref().map(EngineMetrics::new);
-        let root = {
-            let trace = engine.config.trace.as_deref();
-            let mut root = maybe_span(trace, "engine", "run", engine.config.trace_parent);
-            root.attr("seeds", engine.shared.seeds.len() as u64);
-            root.attr("budget", engine.config.budget);
-            root.id()
-        };
         let threads = crate::pool::resolve_threads(engine.config.threads);
         let pool = Self::session_pool(&engine, threads);
         let mut budget = BudgetTracker::new(engine.config.budget);
@@ -712,7 +720,7 @@ impl Session {
         let stale_indices: Vec<usize> = (0..slots.len()).collect();
         let packed = slots.iter().map(|s| s.cluster.range.packed_masks()).collect();
         let incremental = IncrementalState::build(&slots);
-        let session = Session {
+        let mut session = Session {
             rng: StdRng::seed_from_u64(engine.config.rng_seed),
             engine,
             slots,
@@ -729,17 +737,18 @@ impl Session {
             started,
             deadline,
             metrics,
-            root,
+            root: SpanId::NONE,
+            resumed_at_round: None,
             pool,
             threads,
             defer_exhaustion: false,
             done,
         };
-        session.publish_session_start();
+        session.open_observers();
         // Sessions born finished (no seeds, budget below the seed count)
         // never reach `stop`; emit their terminal event here.
         if let Some(termination) = session.done {
-            session.publish_session_end(termination);
+            session.close_observers(termination);
         }
         session
     }
@@ -799,14 +808,6 @@ impl Session {
         // of shipping it in the checkpoint. The checkpointed list is
         // already sorted and deduplicated, so `new` is a no-op reorder.
         let engine = SixGen::new(checkpoint.seeds, config);
-        let root = {
-            let trace = engine.config.trace.as_deref();
-            let mut root = maybe_span(trace, "engine", "run", engine.config.trace_parent);
-            root.attr("seeds", engine.shared.seeds.len() as u64);
-            root.attr("budget", engine.config.budget);
-            root.attr("resumed_at_round", checkpoint.rounds);
-            root.id()
-        };
         let threads = crate::pool::resolve_threads(engine.config.threads);
         let pool = Self::session_pool(&engine, threads);
         let slots: Vec<Slot> = checkpoint
@@ -846,7 +847,7 @@ impl Session {
             .map(|&i| usize::try_from(i))
             .collect::<Result<Vec<usize>, _>>()
             .map_err(|_| ResumeError::Corrupt("stale index out of bounds"))?;
-        let session = Session {
+        let mut session = Session {
             rng: StdRng::from_state(checkpoint.rng_state),
             engine,
             slots,
@@ -863,7 +864,8 @@ impl Session {
             started,
             deadline,
             metrics,
-            root,
+            root: SpanId::NONE,
+            resumed_at_round: Some(checkpoint.rounds),
             pool,
             threads,
             defer_exhaustion: false,
@@ -872,7 +874,7 @@ impl Session {
         // A resumed session re-announces itself with its checkpointed
         // round counter, so live observers see resumption as a restart
         // rather than a fresh shard.
-        session.publish_session_start();
+        session.open_observers();
         Ok(session)
     }
 
@@ -959,39 +961,32 @@ impl Session {
         let total_seeds = self.engine.shared.seeds.len() as u64;
         let trace = self.engine.config.trace.clone();
         let trace = trace.as_deref();
-        // Per-phase durations for the round's progress event, captured
-        // from the same `Instant` reads the phase timers already perform.
+        // Per-phase durations for the round's progress event: each is the
+        // duration its phase span measured (see `end_phase`).
         let mut phase_ns = sixgen_obs::PhaseNanos::default();
 
-        let phase_started = Instant::now();
+        let mut span = maybe_span(trace, "engine", "cache_fill", self.root);
         let stale_now = std::mem::take(&mut self.stale_indices);
-        {
-            let mut span = maybe_span(trace, "engine", "cache_fill", self.root);
-            self.cpu_time += self.engine.fill_caches(
-                &mut self.slots,
-                &stale_now,
-                &mut self.worker_panics,
-                self.metrics.as_ref(),
-                trace,
-                span.id(),
-                self.pool.as_ref(),
-                self.threads,
-            );
-            // Event-driven refill propagation: the freshly computed keys
-            // are pushed into the select tree here, at the only point
-            // they change, instead of rebuilding anything per round.
-            for &i in &stale_now {
-                self.incremental
-                    .select
-                    .set(i, SelectKey::of(&self.slots[i].cached));
-            }
-            span.attr("clusters", self.live_cluster_count() as u64);
+        self.cpu_time += self.engine.fill_caches(
+            &mut self.slots,
+            &stale_now,
+            &mut self.worker_panics,
+            self.metrics.as_ref(),
+            trace,
+            span.id(),
+            self.pool.as_ref(),
+            self.threads,
+        );
+        // Event-driven refill propagation: the freshly computed keys
+        // are pushed into the select tree here, at the only point
+        // they change, instead of rebuilding anything per round.
+        for &i in &stale_now {
+            self.incremental
+                .select
+                .set(i, SelectKey::of(&self.slots[i].cached));
         }
-        let elapsed = phase_started.elapsed();
-        phase_ns.cache_fill = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        if let Some(m) = &self.metrics {
-            m.cache_fill.record(elapsed);
-        }
+        span.attr("clusters", self.live_cluster_count() as u64);
+        phase_ns.cache_fill = self.end_phase(span, |m| &m.cache_fill);
         // Injected panics write clusters off as exhausted, which no
         // reference evaluation reproduces.
         #[cfg(test)]
@@ -1023,9 +1018,8 @@ impl Session {
         #[cfg(test)]
         let scan = self.scan_select();
         let rng_at_boundary = self.rng.state();
-        let phase_started = Instant::now();
-        let mut select_span = maybe_span(trace, "engine", "select", self.root);
-        select_span.attr("clusters", self.live_cluster_count() as u64);
+        let mut span = maybe_span(trace, "engine", "select", self.root);
+        span.attr("clusters", self.live_cluster_count() as u64);
         let rng = &mut self.rng;
         // Tournament-tree selection: the scan's winner and tie-break
         // draw stream in O(eras · log N + draws) instead of
@@ -1038,12 +1032,7 @@ impl Session {
             "select tree and reference scan diverged in round {}",
             self.rounds
         );
-        drop(select_span);
-        let elapsed = phase_started.elapsed();
-        phase_ns.select = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        if let Some(m) = &self.metrics {
-            m.select.record(elapsed);
-        }
+        phase_ns.select = self.end_phase(span, |m| &m.select);
         let Some(grown_index) = best_index else {
             // Every cluster contains all seeds: nothing can grow.
             return self.stop(Termination::AllSeedsClustered);
@@ -1083,11 +1072,10 @@ impl Session {
         // Commit: charge the budget, adopt the grown range, invalidate
         // this cluster's cache, and delete clusters subsumed by the new
         // range (§5.4).
-        let phase_started = Instant::now();
-        let mut commit_span = maybe_span(trace, "engine", "commit", self.root);
+        let mut span = maybe_span(trace, "engine", "commit", self.root);
         let growth = growth.clone();
-        commit_span.attr("seed_count", growth.seed_count);
-        commit_span.attr(
+        span.attr("seed_count", growth.seed_count);
+        span.attr(
             "range_size",
             u64::try_from(growth.range_size).unwrap_or(u64::MAX),
         );
@@ -1111,14 +1099,8 @@ impl Session {
             inc.remove_min(old_min, grown_index);
             inc.add_min(new_min, grown_index);
         }
-        drop(commit_span);
-        let elapsed = phase_started.elapsed();
-        phase_ns.commit = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        if let Some(m) = &self.metrics {
-            m.commit.record(elapsed);
-        }
-        let phase_started = Instant::now();
-        let mut subsume_span = maybe_span(trace, "engine", "subsume", self.root);
+        phase_ns.commit = self.end_phase(span, |m| &m.commit);
+        let mut span = maybe_span(trace, "engine", "subsume", self.root);
         #[cfg(test)]
         let scan_live = self.scan_subsume(grown_index, &new_packed);
         // Min-address candidate enumeration: every cluster subsumed by
@@ -1173,13 +1155,8 @@ impl Session {
             self.stale_indices.push(grown_index);
         }
         self.subsumed += killed;
-        subsume_span.attr("subsumed", killed);
-        drop(subsume_span);
-        let elapsed = phase_started.elapsed();
-        phase_ns.subsume = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        if let Some(m) = &self.metrics {
-            m.subsume.record(elapsed);
-        }
+        span.attr("subsumed", killed);
+        phase_ns.subsume = self.end_phase(span, |m| &m.subsume);
         if let Some(bus) = self.events() {
             bus.publish(sixgen_obs::ProgressEvent::Round {
                 shard: self.engine.config.shard_id,
@@ -1194,9 +1171,20 @@ impl Session {
         Step::Grew
     }
 
+    /// Ends a round phase's span and feeds the one duration it measured
+    /// to the phase's metrics timer. Returns it in nanoseconds, for the
+    /// round event's [`PhaseNanos`](sixgen_obs::PhaseNanos) field.
+    fn end_phase(&self, span: Span<'_>, timer: fn(&EngineMetrics) -> &PhaseTimer) -> u64 {
+        let elapsed = span.end();
+        if let Some(m) = &self.metrics {
+            timer(m).record(elapsed);
+        }
+        u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX)
+    }
+
     fn stop(&mut self, termination: Termination) -> Step {
         self.done = Some(termination);
-        self.publish_session_end(termination);
+        self.close_observers(termination);
         Step::Done(termination)
     }
 
@@ -1211,7 +1199,13 @@ impl Session {
             .filter(|bus| bus.is_enabled())
     }
 
-    fn publish_session_start(&self) {
+    /// Opens the session to its observers: reserves the id of its
+    /// `engine/run` span, which the phase spans parent under, and
+    /// publishes the `SessionStart` event.
+    fn open_observers(&mut self) {
+        if let Some(trace) = self.engine.config.trace.as_deref() {
+            self.root = trace.reserve_id();
+        }
         if let Some(bus) = self.events() {
             bus.publish(sixgen_obs::ProgressEvent::SessionStart {
                 shard: self.engine.config.shard_id,
@@ -1222,7 +1216,19 @@ impl Session {
         }
     }
 
-    fn publish_session_end(&self, termination: Termination) {
+    /// Closes the session to its observers: records its `engine/run`
+    /// span, from `started` to now, and publishes the `SessionEnd` event.
+    fn close_observers(&self, termination: Termination) {
+        let config = &self.engine.config;
+        if let Some(trace) = config.trace.as_deref() {
+            let parent = config.trace_parent;
+            let mut root = trace.span_from(self.root, "engine", "run", parent, self.started);
+            root.attr("seeds", self.engine.shared.seeds.len() as u64);
+            root.attr("budget", config.budget);
+            if let Some(round) = self.resumed_at_round {
+                root.attr("resumed_at_round", round);
+            }
+        }
         if let Some(bus) = self.events() {
             bus.publish(sixgen_obs::ProgressEvent::SessionEnd {
                 shard: self.engine.config.shard_id,
@@ -1967,6 +1973,91 @@ mod tests {
             spans.iter().filter(|s| s.name == "growth_eval").count() >= seeds.len(),
             "one span per cluster in the first round alone"
         );
+        // The root covers its session: every span parented under it lies
+        // inside its interval.
+        let children: Vec<_> = spans.iter().filter(|s| s.parent == root.id).collect();
+        assert!(children.len() > 4, "phases of several rounds");
+        for child in children {
+            assert!(
+                root.start_ns <= child.start_ns && child.end_ns <= root.end_ns,
+                "{} [{}, {}] lies outside engine/run [{}, {}]",
+                child.name,
+                child.start_ns,
+                child.end_ns,
+                root.start_ns,
+                root.end_ns
+            );
+        }
+    }
+
+    /// One clock per phase: with trace, metrics and events all on, the
+    /// k-th `engine/<phase>` span lasts exactly round k's `phase_ns`
+    /// field, and each phase's spans sum exactly to its phase timer, at
+    /// one thread and with parallel fills on four.
+    #[test]
+    fn phase_spans_timers_and_round_events_agree() {
+        use sixgen_obs::{EventBus, PhaseNanos, ProgressEvent, TraceSink};
+        type Field = fn(&PhaseNanos) -> u64;
+        let phases: [(&str, Field); 4] = [
+            ("cache_fill", |p| p.cache_fill),
+            ("select", |p| p.select),
+            ("commit", |p| p.commit),
+            ("subsume", |p| p.subsume),
+        ];
+        for threads in [1, 4] {
+            let sink = TraceSink::shared();
+            let registry = MetricsRegistry::shared();
+            let bus = EventBus::shared();
+            SixGen::new(
+                parallel_test_seeds(),
+                Config {
+                    threads,
+                    trace: Some(Arc::clone(&sink)),
+                    metrics: Some(Arc::clone(&registry)),
+                    events: Some(Arc::clone(&bus)),
+                    ..Config::with_budget(2000)
+                },
+            )
+            .run();
+            let rounds: Vec<PhaseNanos> = bus
+                .snapshot()
+                .into_iter()
+                .filter_map(|record| match record.event {
+                    ProgressEvent::Round { phase_ns, .. } => Some(phase_ns),
+                    _ => None,
+                })
+                .collect();
+            assert!(rounds.len() > 3, "threads {threads}: multi-round run");
+            assert_eq!(sink.dropped(), 0);
+            let spans = sink.snapshot();
+            for (name, field) in phases {
+                let durations: Vec<u64> = spans
+                    .iter()
+                    .filter(|s| s.category == "engine" && s.name == name)
+                    .map(|s| s.duration_ns())
+                    .collect();
+                assert!(durations.len() >= rounds.len(), "threads {threads}: {name}");
+                for (k, round) in rounds.iter().enumerate() {
+                    assert_eq!(
+                        durations[k],
+                        field(round),
+                        "threads {threads}: {name} span of round {}",
+                        k + 1
+                    );
+                }
+                let timer = registry.phase(&format!("engine/{name}"));
+                assert_eq!(
+                    timer.count(),
+                    durations.len() as u64,
+                    "threads {threads}: {name}"
+                );
+                assert_eq!(
+                    timer.total().as_nanos(),
+                    durations.iter().map(|&d| u128::from(d)).sum::<u128>(),
+                    "threads {threads}: {name} timer total"
+                );
+            }
+        }
     }
 
     #[test]

@@ -117,6 +117,9 @@ pub struct Config {
     /// re-exports the [`RunStats`] counters under `engine/*` names at the
     /// end of the run. Metrics only observe — they never perturb the
     /// algorithm, so instrumented and bare runs produce identical targets.
+    /// A single clock feeds the phase timers, the round events'
+    /// `phase_ns` and the trace: each phase's duration is the one its
+    /// span measured, traced or not.
     pub metrics: Option<std::sync::Arc<sixgen_obs::MetricsRegistry>>,
     /// Optional trace sink. When set, the engine records one run-level
     /// root span with nested per-iteration `cache_fill` / `select` /
@@ -124,7 +127,10 @@ pub struct Config {
     /// evaluated per round (carrying cluster id, candidate-set size, and
     /// chosen-range density attributes). Like metrics, tracing only
     /// observes: traced and bare runs produce identical targets and
-    /// identical deterministic metrics.
+    /// identical deterministic metrics. Each phase span lasts exactly the
+    /// time its phase timer and round event report: all three read one
+    /// clock. The root span covers the session from start (or resume) to
+    /// termination; a session dropped before it terminates records none.
     pub trace: Option<std::sync::Arc<sixgen_obs::TraceSink>>,
     /// Optional cooperative cancellation token. The engine polls it once
     /// per round, right after the deadline check; when cancelled, the run

@@ -133,10 +133,10 @@ pub fn run_sharded(specs: Vec<ShardSpec>, config: Config, workers: usize) -> Sha
 
 /// [`run_sharded`], invoking `at_barrier` with a [`ShardedCheckpoint`]
 /// at every epoch barrier — the hook where callers persist the fleet
-/// (see [`CheckpointWriter::write_sharded`]) for mid-fleet resume via
+/// (see [`CheckpointWriter::at_boundary`]) for mid-fleet resume via
 /// [`resume_sharded`].
 ///
-/// [`CheckpointWriter::write_sharded`]: crate::CheckpointWriter::write_sharded
+/// [`CheckpointWriter::at_boundary`]: crate::CheckpointWriter::at_boundary
 pub fn run_sharded_with(
     specs: Vec<ShardSpec>,
     config: Config,

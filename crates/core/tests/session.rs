@@ -14,7 +14,7 @@ use sixgen_core::{
     CancelToken, ClusterMode, Config, EngineCheckpoint, Outcome, ResumeError, Session, SixGen,
     Step, Termination,
 };
-use sixgen_obs::MetricsRegistry;
+use sixgen_obs::{MetricsRegistry, TraceSink};
 use std::sync::Arc;
 
 /// Ten dense groups of three seeds each (hosts 0–2 in the last nybble),
@@ -324,6 +324,48 @@ fn unfired_token_is_invisible() {
     )
     .run();
     assert_same_logical_run(&bare, &with_token);
+}
+
+/// A resumed session's `engine/run` span covers the whole segment: it
+/// carries the checkpoint's round as `resumed_at_round`, and every span
+/// parented under it lies inside its interval.
+#[test]
+fn resumed_root_span_encloses_its_children() {
+    let cfg = config(ClusterMode::Loose, 300);
+    let sink = TraceSink::shared();
+    let traced = Config {
+        trace: Some(Arc::clone(&sink)),
+        ..cfg.clone()
+    };
+    let resumed = Session::resume(checkpoint_after(&cfg, 3), traced)
+        .unwrap()
+        .run();
+    assert!(resumed.stats.rounds > 4, "the resumed segment runs rounds");
+    let spans = sink.snapshot();
+    let roots: Vec<_> = spans
+        .iter()
+        .filter(|s| s.category == "engine" && s.name == "run")
+        .collect();
+    assert_eq!(roots.len(), 1, "one root per segment");
+    let root = roots[0];
+    assert!(
+        root.attrs().contains(&("resumed_at_round", 3)),
+        "{:?}",
+        root.attrs()
+    );
+    let children: Vec<_> = spans.iter().filter(|s| s.parent == root.id).collect();
+    assert!(children.len() > 4, "phases of several rounds");
+    for child in children {
+        assert!(
+            root.start_ns <= child.start_ns && child.end_ns <= root.end_ns,
+            "{} [{}, {}] lies outside engine/run [{}, {}]",
+            child.name,
+            child.start_ns,
+            child.end_ns,
+            root.start_ns,
+            root.end_ns
+        );
+    }
 }
 
 /// Worker-panic recovery composes with resume: a resumed segment whose

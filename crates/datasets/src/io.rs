@@ -79,8 +79,10 @@ pub fn decode_hitlist_binary(mut data: Bytes) -> io::Result<Vec<NybbleAddr>> {
     if &magic != MAGIC {
         return Err(bad("bad magic"));
     }
-    let count = data.get_u64_le() as usize;
-    if data.remaining() != count * 16 {
+    // The count is untrusted: check it against the bytes actually present
+    // before it sizes an allocation.
+    let count = usize::try_from(data.get_u64_le()).map_err(|_| bad("length mismatch"))?;
+    if count.checked_mul(16) != Some(data.remaining()) {
         return Err(bad("length mismatch"));
     }
     let mut out = Vec::with_capacity(count);
@@ -158,6 +160,14 @@ mod tests {
         assert!(decode_hitlist_binary(bad.freeze()).is_err());
         // Too short for a header.
         assert!(decode_hitlist_binary(Bytes::from_static(b"xx")).is_err());
+        // A forged count whose byte length overflows is a typed error, not
+        // an overflow or a capacity panic.
+        for count in [1u64 << 60, u64::MAX] {
+            let mut forged = BytesMut::from(&MAGIC[..]);
+            forged.put_u64_le(count);
+            let err = decode_hitlist_binary(forged.freeze()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "count {count}");
+        }
     }
 
     #[test]

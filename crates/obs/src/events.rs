@@ -58,9 +58,10 @@ use crate::ring::{thread_id, LiveStream, ShardedRing};
 /// Throughput samples retained for the rolling budget-burn estimate.
 const SAMPLE_WINDOW: usize = 256;
 
-/// Per-round phase timings, nanoseconds. Captured from the same
-/// `Instant` reads the phase timers already perform, so carrying them in
-/// events adds no clock traffic.
+/// Per-round phase timings, nanoseconds. Each is the duration of the
+/// phase's span, the same figure the phase timer records: one clock feeds
+/// the trace, `/metrics` and the event stream, so carrying them in events
+/// adds no clock traffic.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseNanos {
     /// Density-cache refill time.

@@ -64,7 +64,7 @@ use std::fmt::Write as _;
 use std::io::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Writes `bytes` to `path` atomically: the content goes to a temporary
 /// file in the same directory (`<name>.tmp`), is flushed to disk, and is
@@ -364,29 +364,6 @@ impl PhaseTimer {
     }
 }
 
-/// RAII guard returned by [`timed`]: records the elapsed time into its
-/// [`PhaseTimer`] when dropped.
-#[derive(Debug)]
-pub struct PhaseGuard {
-    timer: Arc<PhaseTimer>,
-    started: Instant,
-}
-
-impl Drop for PhaseGuard {
-    fn drop(&mut self) {
-        self.timer.record(self.started.elapsed());
-    }
-}
-
-/// Starts timing a scope against `timer`; the elapsed time is recorded
-/// when the returned guard drops.
-pub fn timed(timer: &Arc<PhaseTimer>) -> PhaseGuard {
-    PhaseGuard {
-        timer: Arc::clone(timer),
-        started: Instant::now(),
-    }
-}
-
 #[derive(Debug, Default)]
 pub(crate) struct Inner {
     pub(crate) counters: BTreeMap<String, Arc<Counter>>,
@@ -611,10 +588,6 @@ mod tests {
         p.record(Duration::from_millis(4));
         assert_eq!(p.count(), 2);
         assert_eq!(p.total(), Duration::from_millis(7));
-        {
-            let _guard = timed(&p);
-        }
-        assert_eq!(p.count(), 3);
     }
 
     #[test]

@@ -11,12 +11,21 @@
 //!
 //! ## Overhead discipline
 //!
+//! A span is also its own timer: it keeps the `Instant` it started at, and
+//! [`Span::end`] returns the elapsed time from the same clock read that
+//! records the span's end. A caller that needs a phase's duration (a
+//! phase timer, a progress event) takes it from the span, so the trace
+//! and those figures agree to the nanosecond and the phase reads the
+//! clock twice whether or not it is traced.
+//!
 //! * **Tracing absent** (no sink configured): instrumentation sites hold
-//!   an `Option` that is `None`, spans are [`Span::inert`], and neither
-//!   the clock nor any allocation is touched.
+//!   an `Option` that is `None` and spans are [`Span::inert`]. An inert
+//!   span reads the clock once, at start, so that [`Span::end`] can still
+//!   time it; dropping it without `end` reads nothing more. Nothing is
+//!   allocated or recorded.
 //! * **Tracing disabled** (sink present, [`TraceSink::set_enabled`]
-//!   `false`): starting a span costs exactly one relaxed atomic load and
-//!   returns an inert span.
+//!   `false`): starting a span costs one relaxed atomic load on top of an
+//!   inert span's clock read.
 //! * **Tracing enabled**: a span start reads the clock once; a span end
 //!   reads it again and appends a fixed-size record to the ring buffer of
 //!   the recording thread's shard. Shards are selected by a per-thread id,
@@ -56,7 +65,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::escape_json;
 use crate::ring::{thread_id, LiveStream, ShardedRing, SHARDS};
@@ -221,28 +230,51 @@ impl TraceSink {
     }
 
     /// Starts a span. The returned guard records itself into the sink when
-    /// dropped; use [`Span::attr`] to attach values and [`Span::id`] to
-    /// parent children under it.
+    /// it ends ([`Span::end`]) or drops; use [`Span::attr`] to attach
+    /// values and [`Span::id`] to parent children under it. While the
+    /// sink is disabled the span is [inert](Span::inert).
     pub fn span(&self, category: &'static str, name: &'static str, parent: SpanId) -> Span<'_> {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return Span::inert();
+        self.span_from(self.reserve_id(), category, name, parent, Instant::now())
+    }
+
+    /// Reserves the id of a span that is recorded later, with
+    /// [`span_from`](Self::span_from): children can parent under it
+    /// before its end is known. [`SpanId::NONE`] while the sink is
+    /// disabled.
+    pub fn reserve_id(&self) -> SpanId {
+        if !self.is_enabled() {
+            return SpanId::NONE;
         }
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        SpanId(self.next_id.fetch_add(1, Ordering::Relaxed))
+    }
+
+    /// A span under an id from [`reserve_id`](Self::reserve_id) that
+    /// started at `started`, a clock reading the caller already holds. It
+    /// records when it ends or drops, even if the sink was disabled since
+    /// the id was reserved. Under [`SpanId::NONE`] it records nothing.
+    pub fn span_from(
+        &self,
+        id: SpanId,
+        category: &'static str,
+        name: &'static str,
+        parent: SpanId,
+        started: Instant,
+    ) -> Span<'_> {
         Span {
-            sink: Some(self),
-            id,
+            sink: (!id.is_none()).then_some(self),
+            id: id.0,
             parent: parent.0,
             category,
             name,
-            start_ns: self.now_ns(),
+            started,
             attrs: [("", 0); MAX_ATTRS],
             attr_len: 0,
         }
     }
 
-    /// Nanoseconds since the sink's epoch.
-    fn now_ns(&self) -> u64 {
-        u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    /// Nanoseconds from the sink's epoch to `at`.
+    fn since_epoch(&self, at: Instant) -> u64 {
+        u64::try_from(at.saturating_duration_since(self.epoch).as_nanos()).unwrap_or(u64::MAX)
     }
 
     /// Streams the span when a stream is attached (formatted before the
@@ -463,9 +495,9 @@ fn format_ns(ns: u64) -> String {
     }
 }
 
-/// RAII span guard: records its interval into the sink when dropped.
-/// Obtained from [`TraceSink::span`] (live) or [`Span::inert`] /
-/// [`maybe_span`] (no-op).
+/// RAII span guard: records its interval into the sink when it ends or
+/// drops. Obtained from [`TraceSink::span`] (live) or [`Span::inert`] /
+/// [`maybe_span`] (records nothing, still times).
 #[derive(Debug)]
 pub struct Span<'s> {
     sink: Option<&'s TraceSink>,
@@ -473,15 +505,15 @@ pub struct Span<'s> {
     parent: u64,
     category: &'static str,
     name: &'static str,
-    start_ns: u64,
+    started: Instant,
     attrs: [(&'static str, u64); MAX_ATTRS],
     attr_len: u8,
 }
 
 impl Span<'_> {
-    /// A span that records nothing and never touches the clock. The
-    /// disabled-path representation: instrumentation code handles live and
-    /// inert spans identically.
+    /// A span that records nothing. It reads the clock once, at start, so
+    /// [`end`](Self::end) times it like a live span: instrumentation code
+    /// handles live and inert spans identically, durations included.
     pub fn inert() -> Span<'static> {
         Span {
             sink: None,
@@ -489,7 +521,7 @@ impl Span<'_> {
             parent: 0,
             category: "",
             name: "",
-            start_ns: 0,
+            started: Instant::now(),
             attrs: [("", 0); MAX_ATTRS],
             attr_len: 0,
         }
@@ -512,30 +544,45 @@ impl Span<'_> {
             self.attr_len += 1;
         }
     }
+
+    /// Ends the span and returns its duration. One clock read records the
+    /// end (when live) and measures the returned duration, so the
+    /// recorded span lasts exactly the returned time.
+    pub fn end(mut self) -> Duration {
+        self.end_at(Instant::now())
+    }
+
+    /// Records the span as ended at `ended` (once, and only when live)
+    /// and returns its duration.
+    fn end_at(&mut self, ended: Instant) -> Duration {
+        if let Some(sink) = self.sink.take() {
+            sink.record(SpanRecord {
+                id: self.id,
+                parent: self.parent,
+                thread: thread_id(),
+                category: self.category,
+                name: self.name,
+                start_ns: sink.since_epoch(self.started),
+                end_ns: sink.since_epoch(ended),
+                attrs: self.attrs,
+                attr_len: self.attr_len,
+            });
+        }
+        ended.duration_since(self.started)
+    }
 }
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
-        let Some(sink) = self.sink else {
-            return;
-        };
-        sink.record(SpanRecord {
-            id: self.id,
-            parent: self.parent,
-            thread: thread_id(),
-            category: self.category,
-            name: self.name,
-            start_ns: self.start_ns,
-            end_ns: sink.now_ns(),
-            attrs: self.attrs,
-            attr_len: self.attr_len,
-        });
+        if self.sink.is_some() {
+            self.end_at(Instant::now());
+        }
     }
 }
 
 /// Starts a span against an optional sink: the instrumentation-site
-/// helper. `None` yields an inert span with zero overhead beyond the
-/// branch.
+/// helper. `None` yields an inert span, whose only cost is its start's
+/// clock read.
 pub fn maybe_span<'s>(
     sink: Option<&'s TraceSink>,
     category: &'static str,
@@ -727,6 +774,54 @@ mod tests {
         assert!(span.id().is_none());
         drop(span); // must not panic or record anywhere
         assert_eq!(maybe_span(None, "a", "b", SpanId::NONE).id(), SpanId::NONE);
+    }
+
+    #[test]
+    fn end_returns_the_recorded_duration() {
+        let sink = TraceSink::new();
+        let span = sink.span("engine", "select", SpanId::NONE);
+        std::thread::sleep(Duration::from_millis(1));
+        let elapsed = span.end();
+        let spans = sink.snapshot();
+        assert_eq!(spans.len(), 1, "end records once and the drop adds nothing");
+        assert_eq!(u128::from(spans[0].duration_ns()), elapsed.as_nanos());
+        // Inert and disabled spans record nothing but still time.
+        let inert = maybe_span(None, "engine", "select", SpanId::NONE);
+        std::thread::sleep(Duration::from_millis(1));
+        assert!(inert.end() >= Duration::from_millis(1));
+        sink.set_enabled(false);
+        let disabled = sink.span("engine", "select", SpanId::NONE);
+        std::thread::sleep(Duration::from_millis(1));
+        assert!(disabled.end() >= Duration::from_millis(1));
+        assert_eq!(sink.len(), 1);
+    }
+
+    #[test]
+    fn a_reserved_span_records_from_its_given_start() {
+        let sink = TraceSink::new();
+        let started = Instant::now();
+        let id = sink.reserve_id();
+        drop(sink.span("engine", "cache_fill", id));
+        let mut root = sink.span_from(id, "engine", "run", SpanId::NONE, started);
+        root.attr("seeds", 3);
+        drop(root);
+        let spans = sink.snapshot();
+        let root = spans.iter().find(|s| s.name == "run").expect("root span");
+        let child = spans
+            .iter()
+            .find(|s| s.name == "cache_fill")
+            .expect("child");
+        assert_eq!(root.id, id.0);
+        assert_eq!(child.parent, root.id);
+        assert_eq!(root.attrs(), &[("seeds", 3)]);
+        assert!(root.start_ns <= child.start_ns && child.end_ns <= root.end_ns);
+        // A disabled sink reserves no id, and a span under none records
+        // nothing.
+        sink.set_enabled(false);
+        let none = sink.reserve_id();
+        assert!(none.is_none());
+        drop(sink.span_from(none, "engine", "run", SpanId::NONE, started));
+        assert_eq!(sink.len(), 2);
     }
 
     #[test]

@@ -549,20 +549,14 @@ fn run_engine(cli: &Cli, seeds: Vec<NybbleAddr>, config: Config) -> Result<Outco
         }
         return Ok(session.run());
     };
-    let every = cli.checkpoint_every.unwrap_or(1).max(1);
-    let mut writer = CheckpointWriter::new(path);
-    let mut broken = false;
+    let mut writer = CheckpointWriter::new(path).every(cli.checkpoint_every.unwrap_or(1));
     let outcome = session.run_with(|session| {
-        if broken || !session.rounds().is_multiple_of(every) {
-            return;
-        }
-        if let Err(e) = writer.write(&session.checkpoint()) {
+        if let Err(e) = writer.at_boundary(session.rounds(), || session.checkpoint().to_bytes()) {
             eprintln!(
                 "warning: checkpoint write to {} failed persistently ({e}); \
                  continuing without further checkpoints",
                 path.display()
             );
-            broken = true;
         }
     });
     if writer.writes() > 0 {
@@ -656,22 +650,18 @@ fn run_fleet(cli: &Cli, config: Config) -> Result<ShardedOutcome, String> {
     if cli.checkpoint_every.is_some() && cli.checkpoint_out.is_none() {
         return Err("--checkpoint-every requires --checkpoint-out".into());
     }
-    let every = cli.checkpoint_every.unwrap_or(1).max(1);
-    let mut writer = cli.checkpoint_out.as_ref().map(CheckpointWriter::new);
-    let mut broken = false;
+    let mut writer = cli
+        .checkpoint_out
+        .as_ref()
+        .map(|path| CheckpointWriter::new(path).every(cli.checkpoint_every.unwrap_or(1)));
     let mut at_barrier = |envelope: &ShardedCheckpoint| {
         let Some(writer) = writer.as_mut() else { return };
-        if broken || !envelope.epochs.is_multiple_of(every) {
-            return;
-        }
-        if let Err(e) = writer.write_sharded(envelope) {
-            let path = cli.checkpoint_out.as_ref().expect("writer implies a path");
+        if let Err(e) = writer.at_boundary(envelope.epochs, || envelope.to_bytes()) {
             eprintln!(
                 "warning: checkpoint write to {} failed persistently ({e}); \
                  continuing without further checkpoints",
-                path.display()
+                writer.path().display()
             );
-            broken = true;
         }
     };
     let outcome = match &cli.resume {
@@ -696,14 +686,12 @@ fn run_fleet(cli: &Cli, config: Config) -> Result<ShardedOutcome, String> {
             run_sharded_with(specs, config, workers, &mut at_barrier)
         }
     };
-    if let (Some(writer), Some(path)) = (&writer, &cli.checkpoint_out) {
-        if writer.writes() > 0 {
-            eprintln!(
-                "{} checkpoint(s) written to {}",
-                writer.writes(),
-                path.display()
-            );
-        }
+    if let Some(writer) = writer.filter(|writer| writer.writes() > 0) {
+        eprintln!(
+            "{} checkpoint(s) written to {}",
+            writer.writes(),
+            writer.path().display()
+        );
     }
     Ok(outcome)
 }

@@ -471,6 +471,18 @@ fn parse_meta(text: &str) -> Option<(JobSpec, usize, JobState)> {
 // Job manager
 // ---------------------------------------------------------------------------
 
+/// Why [`JobManager::create`] started no job. Either way no job is
+/// registered.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CreateError {
+    /// The upload is unusable (it holds no seed address): the client's
+    /// fault, answered `400`.
+    Upload(String),
+    /// The server could not persist the upload or start the job's
+    /// runner: its own fault, answered `500`.
+    Server(String),
+}
+
 /// Owns every job: creation, lookup, cancellation, the shared
 /// [`WorkerPool`] all jobs' engines evaluate growths on, and — with a
 /// checkpoint directory — the durability contract (see the module
@@ -523,24 +535,36 @@ impl JobManager {
 
     /// Creates and starts a job. The seed upload and spec are persisted
     /// *before* the run starts, so a crash at any later point is
-    /// recoverable.
-    pub fn create(self: &Arc<Self>, seeds: Vec<NybbleAddr>, spec: JobSpec) -> Result<Arc<Job>, String> {
+    /// recoverable, and the job is registered only once it is persisted
+    /// and running.
+    pub fn create(
+        self: &Arc<Self>,
+        seeds: Vec<NybbleAddr>,
+        spec: JobSpec,
+    ) -> Result<Arc<Job>, CreateError> {
         if seeds.is_empty() {
-            return Err("no seed addresses in upload".into());
+            return Err(CreateError::Upload("no seed addresses in upload".into()));
         }
         let id = self.next_id.fetch_add(1, Ordering::SeqCst);
-        let job = self.register(id, spec, seeds.len(), JobState::Running);
+        let job = self.new_job(id, spec, seeds.len(), JobState::Running);
         if let Some(dir) = &self.dir {
             let mut upload = Vec::new();
             write_hitlist(&mut upload, &seeds).expect("hitlist to memory cannot fail");
             write_atomic(&seeds_path(dir, id), &upload)
-                .map_err(|e| format!("cannot persist seeds: {e}"))?;
+                .map_err(|e| CreateError::Server(format!("cannot persist seeds: {e}")))?;
             write_atomic(&meta_path(dir, id), meta_text(&job).as_bytes())
-                .map_err(|e| format!("cannot persist job meta: {e}"))?;
+                .map_err(|e| CreateError::Server(format!("cannot persist job meta: {e}")))?;
+        }
+        if let Err(e) = self.spawn_runner(Arc::clone(&job), seeds) {
+            // A persisted running meta would resume the job on restart,
+            // after its client was told it failed.
+            if let Some(dir) = &self.dir {
+                let _ = std::fs::remove_file(meta_path(dir, id));
+            }
+            return Err(CreateError::Server(format!("cannot start job runner: {e}")));
         }
         self.metrics.counter("serve/jobs_created").add(1);
-        self.spawn_runner(Arc::clone(&job), seeds);
-        Ok(job)
+        Ok(self.register(job))
     }
 
     /// Looks up a job by id.
@@ -583,8 +607,8 @@ impl JobManager {
         }
     }
 
-    fn register(&self, id: u64, spec: JobSpec, seed_count: usize, state: JobState) -> Arc<Job> {
-        let job = Arc::new(Job {
+    fn new_job(&self, id: u64, spec: JobSpec, seed_count: usize, state: JobState) -> Arc<Job> {
+        Arc::new(Job {
             id,
             spec,
             seed_count,
@@ -595,7 +619,10 @@ impl JobManager {
             checkpoint: self.dir.as_ref().map(|d| ckpt_path(d, id)),
             feed: TargetFeed::new(),
             state: Mutex::new(state),
-        });
+        })
+    }
+
+    fn register(&self, job: Arc<Job>) -> Arc<Job> {
         self.jobs
             .lock()
             .expect("job table poisoned")
@@ -636,7 +663,8 @@ impl JobManager {
                 .fetch_max(id + 1, Ordering::SeqCst);
             match state {
                 JobState::Done { termination } => {
-                    let job = self.register(id, spec, seed_count, JobState::Done { termination });
+                    let state = JobState::Done { termination };
+                    let job = self.register(self.new_job(id, spec, seed_count, state));
                     match read_hitlist_file(targets_path(&dir, id)) {
                         Ok(targets) => {
                             job.feed.publish_prefix(&targets);
@@ -652,24 +680,27 @@ impl JobManager {
                     }
                 }
                 JobState::Failed { error } => {
-                    let job = self.register(id, spec, seed_count, JobState::Failed {
+                    let state = JobState::Failed {
                         error: error.clone(),
-                    });
+                    };
+                    let job = self.register(self.new_job(id, spec, seed_count, state));
                     job.feed.fail(error);
                 }
                 JobState::Running => {
                     // In flight when the previous server died: resume.
                     match read_hitlist_file(seeds_path(&dir, id)) {
                         Ok(seeds) => {
-                            let job = self.register(id, spec, seeds.len(), JobState::Running);
+                            let job = self.new_job(id, spec, seeds.len(), JobState::Running);
+                            self.spawn_runner(Arc::clone(&job), seeds)?;
                             self.metrics.counter("serve/jobs_resumed").add(1);
-                            self.spawn_runner(job, seeds);
+                            self.register(job);
                         }
                         Err(e) => {
                             let message = format!("persisted seeds unreadable: {e}");
-                            let job = self.register(id, spec, seed_count, JobState::Failed {
+                            let state = JobState::Failed {
                                 error: message.clone(),
-                            });
+                            };
+                            let job = self.register(self.new_job(id, spec, seed_count, state));
                             job.feed.fail(message);
                             self.persist_state(&job);
                         }
@@ -680,7 +711,11 @@ impl JobManager {
         Ok(())
     }
 
-    fn spawn_runner(self: &Arc<Self>, job: Arc<Job>, seeds: Vec<NybbleAddr>) {
+    fn spawn_runner(
+        self: &Arc<Self>,
+        job: Arc<Job>,
+        seeds: Vec<NybbleAddr>,
+    ) -> std::io::Result<()> {
         let manager = Arc::clone(self);
         let handle = std::thread::Builder::new()
             .name(format!("sixgen-job-{}", job.id))
@@ -715,12 +750,12 @@ impl JobManager {
                         job.feed.fail(message);
                     }
                 }
-            })
-            .expect("spawn job runner");
+            })?;
         self.runners
             .lock()
             .expect("runner table poisoned")
             .push(handle);
+        Ok(())
     }
 
     fn persist_state(&self, job: &Job) {
@@ -794,23 +829,13 @@ impl JobManager {
         // Prefill the feed with the resumed run's already-generated
         // prefix (no-op for fresh sessions).
         job.feed.publish_prefix(session.targets_so_far());
-        let every = spec.checkpoint_every.max(1);
-        let mut writer = job.checkpoint.as_ref().map(CheckpointWriter::new);
-        let mut broken = false;
+        let mut writer = checkpoint_writer(job);
         let outcome = session.run_with(|session| {
             // Durability before visibility: the round's checkpoint lands
             // before the round's targets are published to the stream.
-            if let Some(writer) = writer.as_mut() {
-                if !broken && session.rounds().is_multiple_of(every) {
-                    if let Err(e) = writer.write(&session.checkpoint()) {
-                        eprintln!(
-                            "warning: job checkpoint write failed persistently ({e}); \
-                             continuing without further checkpoints"
-                        );
-                        broken = true;
-                    }
-                }
-            }
+            checkpoint_at(writer.as_mut(), session.rounds(), || {
+                session.checkpoint().to_bytes()
+            });
             job.feed.publish_prefix(session.targets_so_far());
         });
         // The terminal round (final sampling, exhaustion) appends past
@@ -852,9 +877,7 @@ impl JobManager {
         workers: usize,
     ) -> Result<String, String> {
         let spec = &job.spec;
-        let every = spec.checkpoint_every.max(1);
-        let mut writer = job.checkpoint.as_ref().map(CheckpointWriter::new);
-        let mut broken = false;
+        let mut writer = checkpoint_writer(job);
         let resume = job
             .checkpoint
             .as_ref()
@@ -862,17 +885,7 @@ impl JobManager {
         let bus = Arc::clone(&job.bus);
         let feed_job = Arc::clone(job);
         let at_barrier = |envelope: &ShardedCheckpoint| {
-            if let Some(writer) = writer.as_mut() {
-                if !broken && envelope.epochs.is_multiple_of(every) {
-                    if let Err(e) = writer.write_sharded(envelope) {
-                        eprintln!(
-                            "warning: job checkpoint write failed persistently ({e}); \
-                             continuing without further checkpoints"
-                        );
-                        broken = true;
-                    }
-                }
-            }
+            checkpoint_at(writer.as_mut(), envelope.epochs, || envelope.to_bytes());
             // Stream the stable prefix of the fleet merge: full target
             // lists of terminated shards (prefix order), then the first
             // live shard's committed prefix. Every published byte is
@@ -904,6 +917,29 @@ impl JobManager {
         } else {
             "complete".to_string()
         })
+    }
+}
+
+/// The job's checkpoint writer at its spec's cadence, with a checkpoint
+/// directory.
+fn checkpoint_writer(job: &Job) -> Option<CheckpointWriter> {
+    job.checkpoint
+        .as_ref()
+        .map(|path| CheckpointWriter::new(path).every(job.spec.checkpoint_every))
+}
+
+/// Applies the job's checkpoint cadence at one boundary. A persistent
+/// write failure is reported once; the job runs on without checkpoints.
+fn checkpoint_at(
+    writer: Option<&mut CheckpointWriter>,
+    boundary: u64,
+    encode: impl FnOnce() -> Vec<u8>,
+) {
+    if let Some(Err(e)) = writer.map(|writer| writer.at_boundary(boundary, encode)) {
+        eprintln!(
+            "warning: job checkpoint write failed persistently ({e}); \
+             continuing without further checkpoints"
+        );
     }
 }
 
@@ -978,7 +1014,10 @@ impl ServeApi {
                     job.id, job.seed_count, job.spec.budget
                 ),
             ),
-            Err(message) => Response::bad_request(format!("{message}\n")),
+            Err(CreateError::Upload(message)) => Response::bad_request(format!("{message}\n")),
+            Err(CreateError::Server(message)) => {
+                Response::text("500 Internal Server Error", format!("{message}\n"))
+            }
         }
     }
 

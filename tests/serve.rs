@@ -4,7 +4,8 @@
 //! via `?from=N`, and crash durability (a restarted manager resumes an
 //! in-flight checkpointed job, single or sharded, restarts one whose
 //! checkpoint it cannot read from its seeds, and serves finished jobs
-//! from disk).
+//! from disk), and that a job whose upload cannot be persisted is never
+//! registered.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -19,7 +20,7 @@ use sixgen::core::{
 };
 use sixgen::datasets::io::{write_hitlist, write_hitlist_file};
 use sixgen::routing::partition_by_length;
-use sixgen::serve::{serve, JobManager, JobState};
+use sixgen::serve::{serve, CreateError, JobManager, JobState};
 
 fn workdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("sixgen-serve-{name}-{}", std::process::id()));
@@ -334,7 +335,7 @@ fn manager_restart_resumes_inflight_job_from_checkpoint() {
     let mid = session.checkpoint();
     assert!(!mid.generated.is_empty(), "checkpoint should be mid-run");
     CheckpointWriter::new(dir.join("job-1.ckpt"))
-        .write(&mid)
+        .write(&mid.to_bytes())
         .expect("write checkpoint");
     let meta = running_meta(400, 9, "-", seeds.len());
     std::fs::write(dir.join("job-1.meta"), meta).expect("write meta");
@@ -392,7 +393,7 @@ fn manager_restart_resumes_sharded_job_from_envelope() {
     assert!(envelopes.len() >= 2, "the first barrier must be mid-fleet");
     write_hitlist_file(dir.join("job-1.seeds"), &seeds).expect("persist seeds");
     CheckpointWriter::new(dir.join("job-1.ckpt"))
-        .write_sharded(&envelopes[0])
+        .write(&envelopes[0].to_bytes())
         .expect("write envelope");
     let meta = running_meta(1500, 11, "2", seeds.len());
     std::fs::write(dir.join("job-1.meta"), meta).expect("write meta");
@@ -512,6 +513,36 @@ fn finished_jobs_survive_restart_and_serve_persisted_targets() {
     assert!(text.contains("\"state\":\"done\""), "{text}");
     manager.join();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A job whose upload cannot be persisted is refused as the server's
+/// fault and leaves no job behind: nothing listed, no status route.
+#[test]
+fn unpersistable_upload_registers_no_job() {
+    let dir = workdir("unpersistable");
+    let manager = JobManager::new(Some(dir.clone())).expect("manager");
+    // The checkpoint directory turns into a plain file under the server.
+    std::fs::remove_dir_all(&dir).expect("remove checkpoint dir");
+    std::fs::write(&dir, b"not a directory\n").expect("replace it with a file");
+    let error = manager
+        .create(ladder_seeds(), sixgen::serve::JobSpec::default())
+        .expect_err("persisting into a plain file fails");
+    assert!(matches!(error, CreateError::Server(_)), "{error:?}");
+    assert!(
+        manager.list().is_empty(),
+        "a failed create registered a job"
+    );
+
+    let server = serve("127.0.0.1:0", Arc::clone(&manager), 0).expect("bind");
+    let addr = server.local_addr().to_string();
+    let (status, _, _) = http(&addr, "POST", "/jobs?budget=50", b"2001:db8::1\n");
+    assert!(status.contains("500"), "{status}");
+    for id in [1, 2] {
+        let (status, _, _) = get(&addr, &format!("/jobs/{id}/status"));
+        assert!(status.contains("404"), "job {id}: {status}");
+    }
+    manager.join();
+    std::fs::remove_file(&dir).ok();
 }
 
 #[test]
