@@ -407,7 +407,7 @@ impl Range {
     }
 
     /// Iterates every address in the range in lexicographic order.
-    pub fn iter(&self) -> RangeIter<'_> {
+    pub fn iter(&self) -> RangeIter {
         RangeIter::new(self)
     }
 
@@ -498,61 +498,93 @@ impl core::fmt::Display for Range {
     }
 }
 
-/// Lexicographic iterator over a [`Range`]'s addresses (an odometer over the
-/// per-position value sets; the least significant position varies fastest).
+/// Lexicographic iterator over a [`Range`]'s addresses: an odometer over
+/// the packed address bits, the least significant position varying
+/// fastest.
+///
+/// The iterator holds the bits of the next address. To advance, it takes
+/// the lowest dynamic position whose set holds a value above the current
+/// one, moves that position to the smallest such value (the
+/// `trailing_zeros` of the set's mask above the current value) and resets
+/// every position below it to its minimum. One step costs a few word
+/// operations, and one per dynamic position passed on a carry, instead of
+/// rebuilding all 32 nybbles. The sequence is the rank order of
+/// [`Range::nth`].
+///
+/// [`size_hint`](Iterator::size_hint) is exact while the addresses left
+/// fit in `usize`, and `(usize::MAX, None)` above that.
 #[derive(Debug, Clone)]
-pub struct RangeIter<'a> {
-    range: &'a Range,
-    /// Per-position rank of the next address, or `None` when exhausted.
-    ranks: Option<[u32; NYBBLE_COUNT]>,
+pub struct RangeIter {
+    /// Bits of the next address, or `None` once the range is exhausted.
+    next: Option<u128>,
+    /// Addresses not yet yielded, `next` included. Saturates like
+    /// [`Range::size`] for the whole address space.
+    remaining: u128,
+    /// The range's smallest address: what positions reset to on a carry.
+    min: u128,
+    /// Bit shift and value mask of every dynamic position, least
+    /// significant first; only the first `dynamic_len` entries are set.
+    dynamic: [(u32, u32); NYBBLE_COUNT],
+    dynamic_len: usize,
 }
 
-impl<'a> RangeIter<'a> {
-    fn new(range: &'a Range) -> Self {
-        RangeIter {
-            range,
-            ranks: Some([0; NYBBLE_COUNT]),
+impl RangeIter {
+    fn new(range: &Range) -> Self {
+        let mut dynamic = [(0, 0); NYBBLE_COUNT];
+        let mut dynamic_len = 0;
+        for (i, set) in range.sets.iter().enumerate().rev() {
+            if !set.is_single() {
+                dynamic[dynamic_len] = (NybbleAddr::shift(i), u32::from(set.mask()));
+                dynamic_len += 1;
+            }
         }
+        let min = range.min_address().bits();
+        RangeIter {
+            next: Some(min),
+            remaining: range.size(),
+            min,
+            dynamic,
+            dynamic_len,
+        }
+    }
+
+    /// The address after `bits` in lexicographic order, or `None` if
+    /// `bits` is the range's last address.
+    #[inline]
+    fn successor(&self, bits: u128) -> Option<u128> {
+        for &(shift, mask) in &self.dynamic[..self.dynamic_len] {
+            let value = ((bits >> shift) & 0xF) as u32;
+            // The set's values above `value` (`value + 1 <= 16`).
+            let above = mask & (u32::MAX << (value + 1));
+            if above != 0 {
+                // Positions below `shift` all sat at their maximum: they
+                // wrap to the range's minimum.
+                let below = (1u128 << shift) - 1;
+                let wrapped = (bits & !below) | (self.min & below);
+                let next = u128::from(above.trailing_zeros());
+                return Some((wrapped & !(0xFu128 << shift)) | (next << shift));
+            }
+        }
+        None
     }
 }
 
-impl Iterator for RangeIter<'_> {
+impl Iterator for RangeIter {
     type Item = NybbleAddr;
 
+    #[inline]
     fn next(&mut self) -> Option<NybbleAddr> {
-        let ranks = self.ranks.as_mut()?;
-        let mut nybbles = [0u8; NYBBLE_COUNT];
-        for i in 0..NYBBLE_COUNT {
-            nybbles[i] = self.range.sets[i].nth_value(ranks[i]);
-        }
-        // Advance the odometer.
-        let mut i = NYBBLE_COUNT;
-        loop {
-            if i == 0 {
-                self.ranks = None;
-                break;
-            }
-            i -= 1;
-            ranks[i] += 1;
-            if ranks[i] < self.range.sets[i].len() {
-                break;
-            }
-            ranks[i] = 0;
-        }
-        Some(NybbleAddr::from_nybbles(nybbles))
+        let bits = self.next?;
+        self.next = self.successor(bits);
+        self.remaining = self.remaining.saturating_sub(1);
+        Some(NybbleAddr::from_bits(bits))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        match &self.ranks {
-            None => (0, Some(0)),
-            Some(_) => {
-                let sz = self.range.size();
-                if sz <= usize::MAX as u128 {
-                    (sz as usize, Some(sz as usize))
-                } else {
-                    (usize::MAX, None)
-                }
-            }
+        match (self.next, usize::try_from(self.remaining)) {
+            (None, _) => (0, Some(0)),
+            (Some(_), Ok(n)) => (n, Some(n)),
+            (Some(_), Err(_)) => (usize::MAX, None),
         }
     }
 }

@@ -35,6 +35,34 @@ fn arb_range() -> impl Strategy<Value = Range> {
         })
 }
 
+/// Small enumerable ranges: random fixed values at every position (up to
+/// `f`), then up to two positions made dynamic with a full or a partial
+/// set, and sometimes position 0 made dynamic with a set holding `f` (the
+/// odometer's carry out of the top position). With no dynamic position
+/// the range is a single address. At most 16³ addresses.
+fn arb_enumerable_range() -> impl Strategy<Value = Range> {
+    (
+        any::<u128>(),
+        prop::collection::vec((0usize..32, 1u16..=0xFFFF, any::<bool>()), 0..3),
+        any::<bool>(),
+        1u16..=0xFFFF,
+    )
+        .prop_map(|(values, dynamic, top, top_mask)| {
+            let mut sets = NybbleAddr::from_bits(values).nybbles().map(NybbleSet::single);
+            for (position, mask, full) in dynamic {
+                sets[position] = if full {
+                    NybbleSet::FULL
+                } else {
+                    NybbleSet::from_mask(mask)
+                };
+            }
+            if top {
+                sets[0] = NybbleSet::from_mask(top_mask | 0x8001);
+            }
+            Range::from_sets(sets)
+        })
+}
+
 proptest! {
     #[test]
     fn address_text_roundtrip(addr in arb_addr()) {
@@ -363,5 +391,22 @@ proptest! {
         let range = Range::from_sets(sets);
         let back: Range = range.to_string().parse().unwrap();
         prop_assert_eq!(back.set(31), set);
+    }
+
+    #[test]
+    fn range_iteration_is_the_rank_order(range in arb_enumerable_range()) {
+        // The bit-level odometer yields exactly `nth(0), nth(1), …` and
+        // then stays exhausted; after k steps its size hint is size − k.
+        let size = range.size();
+        prop_assert!(size <= 4096);
+        let mut iter = range.iter();
+        for k in 0..size {
+            let left = (size - k) as usize;
+            prop_assert_eq!(iter.size_hint(), (left, Some(left)));
+            prop_assert_eq!(iter.next(), Some(range.nth(k)));
+        }
+        prop_assert_eq!(iter.size_hint(), (0, Some(0)));
+        prop_assert_eq!(iter.next(), None);
+        prop_assert_eq!(iter.next(), None);
     }
 }

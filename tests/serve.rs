@@ -4,8 +4,8 @@
 //! via `?from=N`, and crash durability (a restarted manager resumes an
 //! in-flight checkpointed job, single or sharded, restarts one whose
 //! checkpoint it cannot read from its seeds, and serves finished jobs
-//! from disk), and that a job whose upload cannot be persisted is never
-//! registered.
+//! from disk), and that a job whose upload cannot be persisted, or whose
+//! budget is above the per-job ceiling, is never registered.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -543,6 +543,35 @@ fn unpersistable_upload_registers_no_job() {
     }
     manager.join();
     std::fs::remove_file(&dir).ok();
+}
+
+/// A budget above the per-job ceiling is refused before any job exists.
+/// Two seeds far apart make the first growth span most of the address
+/// space, so an accepted job would go straight to a final sample the
+/// size of the whole budget, an allocation no host can serve (it aborted
+/// the server before the ceiling).
+#[test]
+fn budget_above_the_ceiling_is_refused_and_the_server_lives() {
+    let manager = JobManager::new(None).expect("manager");
+    let server = serve("127.0.0.1:0", Arc::clone(&manager), 0).expect("bind");
+    let addr = server.local_addr().to_string();
+
+    let upload = b"2001:db8::1\n2001:db8:ffff:ffff:ffff:ffff:ffff:fff2\n";
+    let (status, _, body) = http(&addr, "POST", "/jobs?budget=1000000000000", upload);
+    assert!(status.contains("400"), "{status}");
+    assert!(String::from_utf8_lossy(&body).contains("ceiling"), "{body:?}");
+    let over = format!("/jobs?budget={}", sixgen::serve::MAX_JOB_BUDGET + 1);
+    let (status, _, _) = http(&addr, "POST", &over, upload);
+    assert!(status.contains("400"), "{status}");
+
+    let (status, _, body) = get(&addr, "/jobs");
+    assert!(status.contains("200"), "{status}");
+    assert!(String::from_utf8_lossy(&body).contains("\"jobs\":[]"), "{body:?}");
+    assert!(manager.list().is_empty(), "a refused upload registered a job");
+    let (status, _, body) = get(&addr, "/healthz");
+    assert!(status.contains("200"), "{status}");
+    assert_eq!(body, b"ok\n");
+    manager.join();
 }
 
 #[test]
