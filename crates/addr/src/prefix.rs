@@ -76,12 +76,6 @@ impl Prefix {
         self.len
     }
 
-    /// `true` for the zero-length (default-route) prefix.
-    #[inline]
-    pub fn is_default(&self) -> bool {
-        self.len == 0
-    }
-
     /// Membership test.
     #[inline]
     pub fn contains(&self, addr: NybbleAddr) -> bool {

@@ -160,11 +160,6 @@ impl Range {
         (u128::MAX ^ self.fixed_mask).count_ones() / 4
     }
 
-    /// Iterator over the indices of dynamic positions.
-    pub fn dynamic_positions(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..NYBBLE_COUNT).filter(|&i| !self.sets[i].is_single())
-    }
-
     /// `true` if every dynamic position is a full wildcard — the paper's
     /// *loose* range form (§5.3).
     pub fn is_loose(&self) -> bool {

@@ -27,7 +27,7 @@
 
 use crate::cluster::{evaluate_growth, Cluster, Growth};
 use crate::engine::{splitmix64, splitmix64_seed};
-use crate::{ClusterMode, Config};
+use crate::ClusterMode;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sixgen_addr::{NybbleAddr, NybbleTree, Prefix, Range};
@@ -74,19 +74,6 @@ impl Default for AdaptiveConfig {
             alias_prefix_len: 96,
             feedback_seeds: true,
             rng_seed: 0xADA9,
-        }
-    }
-}
-
-impl AdaptiveConfig {
-    /// Derives an adaptive config from a plain 6Gen [`Config`], keeping the
-    /// budget/mode/seed.
-    pub fn from_config(config: &Config) -> AdaptiveConfig {
-        AdaptiveConfig {
-            budget: config.budget,
-            mode: config.mode,
-            rng_seed: config.rng_seed,
-            ..AdaptiveConfig::default()
         }
     }
 }

@@ -1378,11 +1378,6 @@ impl Session {
         self.budget.raise_budget(self.budget.budget() + extra);
     }
 
-    /// Live clusters at the current round boundary.
-    pub fn cluster_count(&self) -> usize {
-        self.live_cluster_count()
-    }
-
     /// Live clusters: dead slots are tombstoned in place, so the slot
     /// count over-reports.
     fn live_cluster_count(&self) -> usize {
@@ -2001,23 +1996,36 @@ mod tests {
     }
 
     /// One clock per phase: with trace, metrics and events all on, the
-    /// k-th `engine/<phase>` span lasts exactly round k's `phase_ns`
-    /// field, and each phase's spans sum exactly to its phase timer, at
-    /// one thread and with parallel fills on four.
+    /// k-th `engine/<phase>` span lasts exactly the `phase_ns` field of
+    /// round k's streamed event, and each phase's spans sum exactly to its
+    /// phase timer, at one thread and with parallel fills on four.
     #[test]
     fn phase_spans_timers_and_round_events_agree() {
-        use sixgen_obs::{EventBus, PhaseNanos, ProgressEvent, TraceSink};
-        type Field = fn(&PhaseNanos) -> u64;
-        let phases: [(&str, Field); 4] = [
-            ("cache_fill", |p| p.cache_fill),
-            ("select", |p| p.select),
-            ("commit", |p| p.commit),
-            ("subsume", |p| p.subsume),
-        ];
+        use sixgen_obs::{EventBus, TraceSink};
+        /// The bus's NDJSON stream, kept in memory.
+        #[derive(Clone, Default)]
+        struct Capture(Arc<std::sync::Mutex<Vec<u8>>>);
+        impl std::io::Write for Capture {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.lock().unwrap().extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        /// The value of a line's numeric field `key`.
+        fn field(line: &str, key: &str) -> u64 {
+            let rest = line.split(&format!("\"{key}\":")).nth(1).expect(key);
+            rest.split([',', '}']).next().unwrap().parse().expect(key)
+        }
+        let phases = ["cache_fill", "select", "commit", "subsume"];
         for threads in [1, 4] {
             let sink = TraceSink::shared();
             let registry = MetricsRegistry::shared();
             let bus = EventBus::shared();
+            let capture = Capture::default();
+            bus.stream_to(Box::new(capture.clone()));
             let outcome = SixGen::new(
                 parallel_test_seeds(),
                 Config {
@@ -2030,18 +2038,17 @@ mod tests {
             )
             .run();
             assert_eq!(outcome.stats.termination, Termination::BudgetExhausted);
-            let rounds: Vec<PhaseNanos> = bus
-                .snapshot()
-                .into_iter()
-                .filter_map(|record| match record.event {
-                    ProgressEvent::Round { phase_ns, .. } => Some(phase_ns),
-                    _ => None,
-                })
+            bus.finish_stream().unwrap();
+            assert_eq!(bus.streamed(), bus.published());
+            let text = String::from_utf8(capture.0.lock().unwrap().clone()).unwrap();
+            let rounds: Vec<&str> = text
+                .lines()
+                .filter(|line| line.contains("\"kind\":\"round\""))
                 .collect();
             assert!(rounds.len() > 3, "threads {threads}: multi-round run");
             assert_eq!(sink.dropped(), 0);
             let spans = sink.snapshot();
-            for (name, field) in phases {
+            for name in phases {
                 let durations: Vec<u64> = spans
                     .iter()
                     .filter(|s| s.category == "engine" && s.name == name)
@@ -2051,7 +2058,7 @@ mod tests {
                 for (k, round) in rounds.iter().enumerate() {
                     assert_eq!(
                         durations[k],
-                        field(round),
+                        field(round, name),
                         "threads {threads}: {name} span of round {}",
                         k + 1
                     );

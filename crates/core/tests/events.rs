@@ -4,17 +4,18 @@
 //! on mid-run, and asserts byte identity of everything the engine
 //! exposes — targets, clusters, stats, deterministic metrics, and
 //! serialized checkpoints at every round boundary (which pins the RNG
-//! draw stream). A second group checks the events themselves are
-//! coherent: monotone rounds, session lifecycles, and fleet counters
-//! that match the `engine/shard/{i}/*` metric attributions.
+//! draw stream). A second group checks the events themselves, as the
+//! bus streams them, are coherent: monotone rounds, session lifecycles,
+//! and fleet counters that match the `engine/shard/{i}/*` metric
+//! attributions.
 
 use sixgen_addr::{NybbleAddr, Prefix};
 use sixgen_core::{
     run_sharded_with, ClusterMode, Config, Outcome, Session, ShardSpec, ShardedOutcome, SixGen,
     Step,
 };
-use sixgen_obs::{EventBus, MetricsRegistry, ProgressEvent};
-use std::sync::Arc;
+use sixgen_obs::{EventBus, MetricsRegistry};
+use std::sync::{Arc, Mutex};
 
 /// Multi-round engine workload: ten dense seed groups plus stragglers
 /// (the world of the engine's round-check unit test).
@@ -87,6 +88,62 @@ fn assert_same_outcome(reference: &Outcome, other: &Outcome, what: &str) {
         reference.stats.termination, other.stats.termination,
         "{what}: termination"
     );
+}
+
+/// A bus's NDJSON stream, kept in memory.
+#[derive(Clone, Default)]
+struct Capture(Arc<Mutex<Vec<u8>>>);
+
+impl std::io::Write for Capture {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// An enabled bus streaming into the returned capture.
+fn captured_bus() -> (Arc<EventBus>, Capture) {
+    let bus = EventBus::shared();
+    let capture = Capture::default();
+    bus.stream_to(Box::new(capture.clone()));
+    (bus, capture)
+}
+
+/// Closes the bus's stream and returns its lines in `seq` order, after
+/// checking that every published event was streamed.
+fn streamed_lines(bus: &EventBus, capture: &Capture) -> Vec<String> {
+    bus.finish_stream().expect("in-memory stream");
+    assert_eq!(bus.stream_errors(), 0);
+    assert_eq!(bus.streamed(), bus.published());
+    let text = String::from_utf8(capture.0.lock().unwrap().clone()).expect("UTF-8 NDJSON");
+    let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+    lines.sort_by_key(|line| num(line, "seq"));
+    let seqs: Vec<u64> = lines.iter().map(|line| num(line, "seq")).collect();
+    assert_eq!(seqs, (1..=bus.published()).collect::<Vec<u64>>());
+    lines
+}
+
+/// The value of a line's numeric field `key`.
+fn num(line: &str, key: &str) -> u64 {
+    let raw = value(line, key);
+    raw.parse()
+        .unwrap_or_else(|e| panic!("non-numeric {key} {raw:?} in {line:?}: {e}"))
+}
+
+/// The value of a line's string field `key`.
+fn text<'a>(line: &'a str, key: &str) -> &'a str {
+    value(line, key).trim_matches('"')
+}
+
+/// The raw text of a line's field `key`, up to the next `,` or `}`.
+fn value<'a>(line: &'a str, key: &str) -> &'a str {
+    line.split(&format!("\"{key}\":"))
+        .nth(1)
+        .and_then(|rest| rest.split([',', '}']).next())
+        .unwrap_or_else(|| panic!("no {key} in {line:?}"))
 }
 
 fn timeless_bytes(session: &Session) -> Vec<u8> {
@@ -194,8 +251,7 @@ fn engine_runs_are_identical_with_bus_absent_enabled_disabled_and_attached_mid_r
 /// snapshot also reflects.
 #[test]
 fn engine_event_stream_tracks_the_run() {
-    let bus = EventBus::shared();
-    bus.set_enabled(true);
+    let (bus, capture) = captured_bus();
     let outcome = SixGen::new(
         seeds(),
         Config {
@@ -205,40 +261,33 @@ fn engine_event_stream_tracks_the_run() {
     )
     .run();
 
-    let records = bus.snapshot();
-    assert!(matches!(
-        records.first().map(|r| &r.event),
-        Some(ProgressEvent::SessionStart { shard: 0, round: 0, .. })
-    ));
+    let lines = streamed_lines(&bus, &capture);
+    let first = lines.first().expect("a non-empty stream");
+    assert_eq!(text(first, "kind"), "session_start", "{first}");
+    assert_eq!(num(first, "shard"), 0, "{first}");
+    assert_eq!(num(first, "round"), 0, "{first}");
     let mut last_round = 0u64;
     let mut last_used = 0u64;
     let mut ends = 0u64;
-    for record in &records {
-        match record.event {
-            ProgressEvent::Round {
-                round,
-                budget_used,
-                budget,
-                ..
-            } => {
+    for line in &lines {
+        match text(line, "kind") {
+            "round" => {
+                let (round, budget_used) = (num(line, "round"), num(line, "budget_used"));
                 assert!(round > last_round, "round numbers must strictly increase");
                 assert!(budget_used >= last_used, "budget burn must be monotone");
-                assert!(budget_used <= budget, "burn must respect the budget");
+                assert!(
+                    budget_used <= num(line, "budget"),
+                    "burn must respect the budget"
+                );
                 last_round = round;
                 last_used = budget_used;
             }
-            ProgressEvent::SessionEnd {
-                termination,
-                rounds,
-                growths,
-                budget_used,
-                ..
-            } => {
+            "session_end" => {
                 ends += 1;
-                assert_eq!(termination, outcome.stats.termination.label());
-                assert_eq!(rounds, outcome.stats.rounds);
-                assert_eq!(growths, outcome.stats.growths);
-                assert_eq!(budget_used, outcome.stats.budget_used);
+                assert_eq!(text(line, "termination"), outcome.stats.termination.label());
+                assert_eq!(num(line, "rounds"), outcome.stats.rounds);
+                assert_eq!(num(line, "growths"), outcome.stats.growths);
+                assert_eq!(num(line, "budget_used"), outcome.stats.budget_used);
             }
             _ => {}
         }
@@ -362,8 +411,7 @@ fn sharded_runs_are_identical_with_and_without_the_bus() {
 fn sharded_events_match_per_shard_counters() {
     let specs = world(6, 30);
     let shard_count = specs.len();
-    let bus = EventBus::shared();
-    bus.set_enabled(true);
+    let (bus, capture) = captured_bus();
     let metrics = Arc::new(MetricsRegistry::new());
     let outcome = run_sharded_with(
         specs,
@@ -375,29 +423,25 @@ fn sharded_events_match_per_shard_counters() {
         2,
         |_| {},
     );
-    assert_eq!(bus.dropped(), 0, "workload must fit the ring for this test");
 
-    let records = bus.snapshot();
     let mut initial_leases = 0u64;
     let mut done: Vec<Option<(u64, u64, u64)>> = vec![None; shard_count];
     let mut last_epoch = 0u64;
-    for record in &records {
-        match record.event {
-            ProgressEvent::Lease {
-                grant, epoch: 0, ..
-            } => initial_leases += grant,
-            ProgressEvent::ShardDone {
-                shard,
-                rounds,
-                budget_used,
-                unspent,
-                ..
-            } => {
+    for line in &streamed_lines(&bus, &capture) {
+        match text(line, "kind") {
+            "lease" if num(line, "epoch") == 0 => initial_leases += num(line, "grant"),
+            "shard_done" => {
+                let shard = num(line, "shard");
                 let slot = &mut done[shard as usize];
                 assert!(slot.is_none(), "shard {shard} finished twice");
-                *slot = Some((rounds, budget_used, unspent));
+                *slot = Some((
+                    num(line, "rounds"),
+                    num(line, "budget_used"),
+                    num(line, "unspent"),
+                ));
             }
-            ProgressEvent::Barrier { epoch, .. } => {
+            "barrier" => {
+                let epoch = num(line, "epoch");
                 assert!(epoch > last_epoch, "barrier epochs must increase");
                 last_epoch = epoch;
             }

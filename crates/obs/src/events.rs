@@ -1,5 +1,5 @@
-//! Live run-progress events: a bounded, non-perturbing event bus plus
-//! derived fleet statistics (throughput, ETA, per-shard progress).
+//! Live run-progress events: a non-perturbing event bus plus derived
+//! fleet statistics (throughput, ETA, per-shard progress).
 //!
 //! The metrics registry answers *how much happened* after a run; the
 //! trace sink answers *where time went*. Neither answers the operator's
@@ -7,9 +7,10 @@
 //! finish?* The [`EventBus`] does: the engine publishes one typed
 //! [`ProgressEvent`] per committed round (plus session start/end), and
 //! the sharded fleet driver publishes lease/park/barrier/termination
-//! events. The bus retains a bounded window of raw events, folds every
-//! event into a live per-shard progress table as it arrives, and derives
-//! a rolling budget-burn throughput and ETA from a sliding sample window.
+//! events. The bus folds every event into a live per-shard progress
+//! table as it arrives, derives a rolling budget-burn throughput and ETA
+//! from a sliding sample window, and, when a stream is attached, writes
+//! the event as one NDJSON line. It keeps no event once published.
 //!
 //! ## Overhead discipline (mirrors `trace.rs`)
 //!
@@ -18,17 +19,15 @@
 //! * **Bus disabled** ([`EventBus::set_enabled`] `false`): a publish
 //!   attempt costs one relaxed atomic load.
 //! * **Bus enabled**: a publish stamps the wall clock once, assigns a
-//!   sequence number, folds the event into the live table (one short
-//!   mutex hold), and appends a record to the publishing thread's ring
-//!   shard. No allocation happens per event beyond the first wrap of each
-//!   ring slot (records are fixed-size; termination labels are
-//!   `&'static str`).
+//!   sequence number and folds the event into the live table (one short
+//!   mutex hold). Only with a stream attached does it format the event's
+//!   line and write it; without one, nothing is allocated per event
+//!   (termination labels are `&'static str`).
 //!
 //! ## Non-perturbation
 //!
 //! Events are observation only: publishing never consumes engine RNG,
-//! never blocks growth (rings overwrite their oldest entry rather than
-//! applying backpressure), and never fails the run (the NDJSON stream
+//! never blocks growth, and never fails the run (the NDJSON stream
 //! tears itself down on the first write error, exactly like the trace
 //! stream). The differential tests in `sixgen-core` pin the resulting
 //! guarantee: targets, RNG stream, deterministic metrics, and checkpoints
@@ -37,14 +36,14 @@
 //!
 //! ## Boundedness
 //!
-//! Raw-event memory is capped at `16 × capacity` records; wraps increment
-//! [`EventBus::dropped`] so a truncated window is never mistaken for a
-//! complete history. The live table is bounded by the shard count and the
-//! throughput window by `SAMPLE_WINDOW` (256) entries.
+//! The bus holds the live table, bounded by the shard count, and its
+//! throughput window of `SAMPLE_WINDOW` (256) samples; its memory does
+//! not grow with the number of events published. The NDJSON stream is
+//! the only record of individual events.
 //!
-//! The rings and the stream writer are shared with the trace sink (the
-//! crate-private `ring` module); this file owns only the event types, the
-//! live table and the NDJSON format, one line per event.
+//! The stream writer is shared with the trace sink (the crate-private
+//! `ring` module); this file owns only the event types, the live table
+//! and the NDJSON format, one line per event.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
@@ -53,7 +52,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::escape_json;
-use crate::ring::{thread_id, LiveStream, ShardedRing};
+use crate::ring::{thread_id, LiveStream};
 
 /// Throughput samples retained for the rolling budget-burn estimate.
 const SAMPLE_WINDOW: usize = 256;
@@ -72,16 +71,6 @@ pub struct PhaseNanos {
     pub commit: u64,
     /// Subsumption scan time.
     pub subsume: u64,
-}
-
-impl PhaseNanos {
-    /// Sum of the four phases.
-    pub fn total(&self) -> u64 {
-        self.cache_fill
-            .saturating_add(self.select)
-            .saturating_add(self.commit)
-            .saturating_add(self.subsume)
-    }
 }
 
 /// One typed run-progress event. Session-scoped events carry the
@@ -194,48 +183,18 @@ impl ProgressEvent {
         }
     }
 
-    /// The shard the event concerns, when shard-scoped.
-    pub fn shard(&self) -> Option<u64> {
-        match self {
-            ProgressEvent::SessionStart { shard, .. }
-            | ProgressEvent::Round { shard, .. }
-            | ProgressEvent::SessionEnd { shard, .. }
-            | ProgressEvent::Lease { shard, .. }
-            | ProgressEvent::Park { shard, .. }
-            | ProgressEvent::ShardDone { shard, .. } => Some(*shard),
-            ProgressEvent::Barrier { .. } => None,
-        }
-    }
-}
-
-/// One retained event, as stamped by the bus at publish time.
-#[derive(Debug, Clone)]
-pub struct EventRecord {
-    /// Bus-wide publish sequence number (starts at 1, strictly
-    /// increasing).
-    pub seq: u64,
-    /// Nanoseconds since the bus's epoch.
-    pub wall_ns: u64,
-    /// Process-wide small id of the publishing thread (shared with the
-    /// trace sink).
-    pub thread: u64,
-    /// The event payload.
-    pub event: ProgressEvent,
-}
-
-impl EventRecord {
-    /// Serializes the record as one NDJSON object (no trailing newline).
-    pub fn to_json(&self) -> String {
+    /// The event as one NDJSON line, newline included, stamped with its
+    /// bus-wide sequence number (from 1), nanoseconds since the bus's
+    /// epoch and the publishing thread's process-wide id (the trace
+    /// sink's `tid`).
+    fn ndjson_line(&self, seq: u64, wall_ns: u64, thread: u64) -> String {
         let mut out = String::with_capacity(160);
         let _ = write!(
             out,
-            "{{\"seq\":{},\"wall_ns\":{},\"thread\":{},\"kind\":\"{}\"",
-            self.seq,
-            self.wall_ns,
-            self.thread,
-            self.event.kind()
+            "{{\"seq\":{seq},\"wall_ns\":{wall_ns},\"thread\":{thread},\"kind\":\"{}\"",
+            self.kind()
         );
-        match &self.event {
+        match self {
             ProgressEvent::SessionStart {
                 shard,
                 seeds,
@@ -324,7 +283,7 @@ impl EventRecord {
                 );
             }
         }
-        out.push('}');
+        out.push_str("}\n");
         out
     }
 }
@@ -516,12 +475,11 @@ impl Live {
     }
 }
 
-/// A bounded publisher/aggregator of [`ProgressEvent`]s. See the module
-/// docs for the overhead and non-perturbation guarantees.
+/// A publisher/aggregator of [`ProgressEvent`]s. See the module docs for
+/// the overhead, non-perturbation and boundedness guarantees.
 #[derive(Debug)]
 pub struct EventBus {
     enabled: AtomicBool,
-    ring: ShardedRing<EventRecord>,
     next_seq: AtomicU64,
     epoch: Instant,
     /// Explicit budget-total hint for ETA when per-shard budgets are
@@ -533,32 +491,21 @@ pub struct EventBus {
 
 impl Default for EventBus {
     fn default() -> Self {
-        EventBus::with_capacity(EventBus::DEFAULT_CAPACITY)
-    }
-}
-
-impl EventBus {
-    /// Default ring capacity per shard (total retention:
-    /// `16 × 4096 = 65 536` events).
-    pub const DEFAULT_CAPACITY: usize = 4096;
-
-    /// A bus with the default capacity.
-    pub fn new() -> EventBus {
-        EventBus::default()
-    }
-
-    /// A bus retaining up to `capacity` events *per shard* (total:
-    /// `16 × capacity`). A zero capacity is rounded up to 1.
-    pub fn with_capacity(capacity: usize) -> EventBus {
         EventBus {
             enabled: AtomicBool::new(true),
-            ring: ShardedRing::new(capacity),
             next_seq: AtomicU64::new(1),
             epoch: Instant::now(),
             budget_total: AtomicU64::new(0),
             live: Mutex::new(Live::default()),
             stream: LiveStream::default(),
         }
+    }
+}
+
+impl EventBus {
+    /// An enabled bus with no stream attached.
+    pub fn new() -> EventBus {
+        EventBus::default()
     }
 
     /// Convenience: a fresh bus behind an `Arc`, ready to share.
@@ -589,47 +536,25 @@ impl EventBus {
         self.next_seq.load(Ordering::Relaxed) - 1
     }
 
-    /// Number of events lost to ring-buffer wrap-around.
-    pub fn dropped(&self) -> u64 {
-        self.ring.dropped()
-    }
-
-    /// Number of events currently retained.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// `true` if no event has been retained.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Publishes one event: stamps it, folds it into the live table,
-    /// streams it when a stream is attached, and retains it in the
-    /// publishing thread's ring. A disabled bus ignores the event for the
-    /// cost of one relaxed load. The live-table, stream and ring locks
-    /// are taken one after another, never nested.
+    /// Publishes one event: stamps it, folds it into the live table and,
+    /// when a stream is attached, writes its NDJSON line. A disabled bus
+    /// ignores the event for the cost of one relaxed load. The live-table
+    /// lock is released before the line is formatted and the stream lock
+    /// taken.
     pub fn publish(&self, event: ProgressEvent) {
         if !self.enabled.load(Ordering::Relaxed) {
             return;
         }
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let record = EventRecord {
-            seq,
-            wall_ns: self.now_ns(),
-            thread: thread_id(),
-            event,
-        };
+        let wall_ns = self.now_ns();
         self.live
             .lock()
             .expect("event live table poisoned")
-            .fold(record.wall_ns, &record.event);
+            .fold(wall_ns, &event);
         if self.stream.is_active() {
-            let mut line = record.to_json();
-            line.push('\n');
+            let line = event.ndjson_line(seq, wall_ns, thread_id());
             self.stream.write(line.as_bytes());
         }
-        self.ring.push(record.thread, record);
     }
 
     /// Nanoseconds since the bus's epoch.
@@ -644,7 +569,7 @@ impl EventBus {
     /// and drops the writer cleanly. Events published before this call
     /// are *not* replayed. The first write error permanently disables
     /// streaming (counted in [`stream_errors`](Self::stream_errors));
-    /// publishing continues ring-only.
+    /// the live table keeps folding every event.
     pub fn stream_to(&self, writer: Box<dyn std::io::Write + Send>) {
         self.stream.attach(writer);
     }
@@ -666,14 +591,6 @@ impl EventBus {
     /// the stream down.
     pub fn stream_errors(&self) -> u64 {
         self.stream.errors()
-    }
-
-    /// All retained events, merged across shards and sorted by sequence
-    /// number. Non-destructive.
-    pub fn snapshot(&self) -> Vec<EventRecord> {
-        let mut events = self.ring.snapshot();
-        events.sort_by_key(|e| e.seq);
-        events
     }
 
     /// Derives the aggregated live view: per-shard progress, fleet
@@ -734,103 +651,156 @@ mod tests {
         }
     }
 
+    /// A stream destination the test reads back.
+    #[derive(Clone, Default)]
+    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+    impl std::io::Write for SharedBuf {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl SharedBuf {
+        fn lines(&self) -> Vec<String> {
+            let bytes = self.0.lock().unwrap().clone();
+            String::from_utf8(bytes)
+                .unwrap()
+                .lines()
+                .map(str::to_owned)
+                .collect()
+        }
+    }
+
+    /// A bus whose stream the test captures.
+    fn captured() -> (EventBus, SharedBuf) {
+        let bus = EventBus::new();
+        let buf = SharedBuf::default();
+        bus.stream_to(Box::new(buf.clone()));
+        (bus, buf)
+    }
+
+    /// The value of a line's numeric field `key`.
+    fn field(line: &str, key: &str) -> u64 {
+        line.split(&format!("\"{key}\":"))
+            .nth(1)
+            .and_then(|rest| rest.split([',', '}']).next())
+            .unwrap_or_else(|| panic!("no {key} in {line:?}"))
+            .parse()
+            .unwrap_or_else(|e| panic!("non-numeric {key} in {line:?}: {e}"))
+    }
+
     #[test]
     fn publish_assigns_monotone_sequence_numbers() {
-        let bus = EventBus::new();
+        let (bus, buf) = captured();
         for i in 1..=5 {
             bus.publish(round(0, i, i * 10));
         }
-        let events = bus.snapshot();
-        assert_eq!(events.len(), 5);
-        let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
+        let seqs: Vec<u64> = buf.lines().iter().map(|l| field(l, "seq")).collect();
         assert_eq!(seqs, vec![1, 2, 3, 4, 5]);
         assert_eq!(bus.published(), 5);
-        assert_eq!(bus.dropped(), 0);
+        assert_eq!(bus.streamed(), 5);
     }
 
     #[test]
     fn disabled_bus_records_nothing() {
-        let bus = EventBus::new();
+        let (bus, buf) = captured();
         bus.set_enabled(false);
         bus.publish(round(0, 1, 10));
-        assert!(bus.is_empty());
         assert_eq!(bus.published(), 0);
+        assert!(buf.lines().is_empty());
+        assert_eq!(bus.progress(), EventBus::new().progress());
         bus.set_enabled(true);
         bus.publish(round(0, 1, 10));
-        assert_eq!(bus.len(), 1);
+        assert_eq!(bus.published(), 1);
+        assert_eq!(buf.lines().len(), 1);
+        assert_eq!(bus.progress().rounds, 1);
     }
 
-    #[test]
-    fn ring_wrap_drops_oldest_and_counts() {
-        let bus = EventBus::with_capacity(4);
-        for i in 1..=7 {
-            bus.publish(round(0, i, i * 10));
-        }
-        assert_eq!(bus.len(), 4);
-        assert_eq!(bus.dropped(), 3);
-        let rounds: Vec<u64> = bus
-            .snapshot()
-            .iter()
-            .map(|e| match e.event {
-                ProgressEvent::Round { round, .. } => round,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(rounds, vec![4, 5, 6, 7], "oldest dropped first");
-        // The live table still saw every event despite the ring wrap.
-        assert_eq!(bus.progress().rounds, 7);
-    }
-
+    /// Pins the NDJSON format: the stamp fields, then `kind` and each
+    /// kind's fields, in this order.
     #[test]
     fn ndjson_lines_are_valid_json_for_every_event_kind() {
         let events = [
-            ProgressEvent::SessionStart {
-                shard: 1,
-                seeds: 100,
-                budget: 5_000,
-                round: 0,
-            },
-            round(1, 2, 30),
-            ProgressEvent::SessionEnd {
-                shard: 1,
-                termination: "budget_exhausted",
-                rounds: 9,
-                growths: 9,
-                budget_used: 5_000,
-                budget: 5_000,
-            },
-            ProgressEvent::Lease {
-                shard: 1,
-                grant: 250,
-                epoch: 2,
-            },
-            ProgressEvent::Park {
-                shard: 1,
-                budget_used: 90,
-                budget: 100,
-            },
-            ProgressEvent::Barrier {
-                epoch: 3,
-                pool_unassigned: 12,
-                done: 1,
-                hungry: 2,
-            },
-            ProgressEvent::ShardDone {
-                shard: 1,
-                termination: "all_seeds_clustered",
-                rounds: 9,
-                budget_used: 4_000,
-                unspent: 1_000,
-            },
+            (
+                ProgressEvent::SessionStart {
+                    shard: 1,
+                    seeds: 100,
+                    budget: 5_000,
+                    round: 0,
+                },
+                r#""kind":"session_start","shard":1,"seeds":100,"budget":5000,"round":0}"#,
+            ),
+            (
+                round(1, 2, 30),
+                r#""kind":"round","shard":1,"round":2,"live_clusters":3,"growths":2,"budget_used":30,"budget":1000,"phase_ns":{"cache_fill":10,"select":20,"commit":30,"subsume":40}}"#,
+            ),
+            (
+                ProgressEvent::SessionEnd {
+                    shard: 1,
+                    termination: "budget_exhausted",
+                    rounds: 9,
+                    growths: 9,
+                    budget_used: 5_000,
+                    budget: 5_000,
+                },
+                r#""kind":"session_end","shard":1,"termination":"budget_exhausted","rounds":9,"growths":9,"budget_used":5000,"budget":5000}"#,
+            ),
+            (
+                ProgressEvent::Lease {
+                    shard: 1,
+                    grant: 250,
+                    epoch: 2,
+                },
+                r#""kind":"lease","shard":1,"grant":250,"epoch":2}"#,
+            ),
+            (
+                ProgressEvent::Park {
+                    shard: 1,
+                    budget_used: 90,
+                    budget: 100,
+                },
+                r#""kind":"park","shard":1,"budget_used":90,"budget":100}"#,
+            ),
+            (
+                ProgressEvent::Barrier {
+                    epoch: 3,
+                    pool_unassigned: 12,
+                    done: 1,
+                    hungry: 2,
+                },
+                r#""kind":"barrier","epoch":3,"pool_unassigned":12,"done":1,"hungry":2}"#,
+            ),
+            (
+                ProgressEvent::ShardDone {
+                    shard: 1,
+                    termination: "all_seeds_clustered",
+                    rounds: 9,
+                    budget_used: 4_000,
+                    unspent: 1_000,
+                },
+                r#""kind":"shard_done","shard":1,"termination":"all_seeds_clustered","rounds":9,"budget_used":4000,"unspent":1000}"#,
+            ),
         ];
-        let bus = EventBus::new();
-        for event in events {
-            bus.publish(event);
+        let (bus, buf) = captured();
+        for (event, _) in &events {
+            bus.publish(event.clone());
         }
-        for record in bus.snapshot() {
-            let line = record.to_json();
-            validate_json(&line).unwrap_or_else(|e| panic!("bad NDJSON {line:?}: {e}"));
-            assert!(line.contains(&format!("\"kind\":\"{}\"", record.event.kind())));
+        let lines = buf.lines();
+        assert_eq!(lines.len(), events.len());
+        for (i, (line, (_, tail))) in lines.iter().zip(&events).enumerate() {
+            validate_json(line).unwrap_or_else(|e| panic!("bad NDJSON {line:?}: {e}"));
+            let expected = format!(
+                "{{\"seq\":{},\"wall_ns\":{},\"thread\":{},{tail}",
+                i + 1,
+                field(line, "wall_ns"),
+                thread_id()
+            );
+            assert_eq!(line, &expected);
         }
     }
 
@@ -959,7 +929,8 @@ mod tests {
         }
         assert_eq!(bus.streamed(), 2, "two lines landed before the fault");
         assert_eq!(bus.stream_errors(), 1, "first failure tears down");
-        assert_eq!(bus.len(), 4, "ring retention unaffected by the fault");
+        assert_eq!(bus.published(), 4);
+        assert_eq!(bus.progress().rounds, 4, "the table outlives the fault");
         bus.finish_stream().expect("finish after teardown is a no-op");
         let text = String::from_utf8(written.lock().unwrap().clone()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
@@ -971,22 +942,9 @@ mod tests {
 
     #[test]
     fn concurrent_publishing_is_lossless_under_capacity() {
-        #[derive(Clone, Default)]
-        struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-        impl std::io::Write for SharedBuf {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let bus = EventBus::with_capacity(10_000);
-        let buf = SharedBuf::default();
-        bus.stream_to(Box::new(buf.clone()));
-        // All eight publishers start together, so their ring pushes and
-        // stream writes interleave.
+        let (bus, buf) = captured();
+        // All eight publishers start together, so their live-table folds
+        // and stream writes interleave.
         let start = std::sync::Barrier::new(8);
         std::thread::scope(|scope| {
             for t in 0..8u64 {
@@ -999,33 +957,25 @@ mod tests {
                 });
             }
         });
-        assert_eq!(bus.len(), 4_000);
-        assert_eq!(bus.dropped(), 0);
-        let events = bus.snapshot();
-        let mut seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
-        seqs.sort_unstable();
-        seqs.dedup();
-        assert_eq!(seqs.len(), 4_000, "sequence numbers are unique");
-        assert_eq!(bus.progress().shards.len(), 8);
+        assert_eq!(bus.published(), 4_000);
+        let progress = bus.progress();
+        assert_eq!(progress.shards.len(), 8);
+        assert_eq!(progress.rounds, 4_000, "every shard folded its last round");
+        assert_eq!(progress.budget_used, 4_000);
 
         assert_eq!(bus.streamed(), 4_000);
         assert_eq!(bus.stream_errors(), 0);
         bus.finish_stream().unwrap();
-        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-        let mut streamed_seqs: Vec<u64> = text
-            .lines()
-            .map(|line| {
-                validate_json(line).unwrap_or_else(|e| panic!("bad NDJSON {line:?}: {e}"));
-                let digits = line
-                    .strip_prefix("{\"seq\":")
-                    .and_then(|rest| rest.split(',').next())
-                    .unwrap_or_else(|| panic!("line without a leading seq: {line:?}"));
-                digits.parse().expect("numeric seq")
-            })
-            .collect();
-        assert_eq!(streamed_seqs.len(), 4_000, "one line per event");
-        streamed_seqs.sort_unstable();
-        streamed_seqs.dedup();
-        assert_eq!(streamed_seqs, seqs, "every event streamed exactly once");
+        let lines = buf.lines();
+        for line in &lines {
+            validate_json(line).unwrap_or_else(|e| panic!("bad NDJSON {line:?}: {e}"));
+        }
+        let mut seqs: Vec<u64> = lines.iter().map(|l| field(l, "seq")).collect();
+        seqs.sort_unstable();
+        assert_eq!(
+            seqs,
+            (1..=4_000).collect::<Vec<u64>>(),
+            "every event streamed exactly once"
+        );
     }
 }

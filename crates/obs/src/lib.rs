@@ -52,7 +52,7 @@ mod ring;
 pub mod serve;
 pub mod trace;
 
-pub use events::{EventBus, EventRecord, PhaseNanos, ProgressEvent, ProgressSnapshot, ShardProgress};
+pub use events::{EventBus, PhaseNanos, ProgressEvent, ProgressSnapshot, ShardProgress};
 pub use serve::{
     observer_response, status_json, Body, ChunkWriter, HttpHandler, HttpServer, Observer,
     ObserverSources, Request, Response,

@@ -1,9 +1,11 @@
-//! The recording machinery shared by the trace sink and the event bus: a
-//! thread-sharded overwrite-oldest ring, the process-wide thread id that
-//! keys it, and one live stream writer that tears itself down on the
-//! first write error. No method here takes one lock while holding
-//! another; callers format their bytes before [`LiveStream::write`], so
-//! the stream lock covers only the write itself.
+//! The recording machinery of the trace sink and the event bus: the
+//! thread-sharded overwrite-oldest ring that holds the trace sink's
+//! spans; the process-wide thread id that keys it and that spans and
+//! event lines both carry; and the live stream writer both use, which
+//! tears itself down on the first write error. No method here takes one
+//! lock while holding another; callers format their bytes before
+//! [`LiveStream::write`], so the stream lock covers only the write
+//! itself.
 
 use std::cell::Cell;
 use std::io::Write;
@@ -15,7 +17,7 @@ use std::sync::Mutex;
 pub(crate) const SHARDS: usize = 16;
 
 /// Process-wide thread-id assignment: each OS thread gets a stable small
-/// id the first time it records into any sink or bus, so spans and
+/// id the first time it records a span or streams an event, so spans and
 /// events from the same thread carry the same id.
 pub(crate) fn thread_id() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(1);

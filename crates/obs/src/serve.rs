@@ -850,11 +850,8 @@ pub fn status_json(sources: &ObserverSources, started: Instant) -> String {
                 &mut out,
                 format_args!(
                     ",\"shards_omitted\":{omitted},\
-                     \"events\":{{\"published\":{},\"dropped\":{},\"retained\":{},\
-                     \"streamed\":{},\"stream_errors\":{}}}",
+                     \"events\":{{\"published\":{},\"streamed\":{},\"stream_errors\":{}}}",
                     bus.published(),
-                    bus.dropped(),
-                    bus.len(),
                     bus.streamed(),
                     bus.stream_errors(),
                 ),
@@ -993,6 +990,12 @@ mod tests {
         assert!(doc.contains("\"budget_used\":120"), "{doc}");
         assert!(doc.contains("\"shards_total\":1"), "{doc}");
         assert!(doc.contains("\"wrapped_shards\":0"), "{doc}");
+        // The bus keeps no events, so it reports only what it published
+        // and streamed.
+        assert!(
+            doc.contains("\"events\":{\"published\":2,\"streamed\":0,\"stream_errors\":0}"),
+            "{doc}"
+        );
 
         observer.shutdown();
     }

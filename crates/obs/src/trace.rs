@@ -56,10 +56,10 @@
 //! streaming (counted in [`TraceSink::stream_errors`]) and recording
 //! continues ring-only.
 //!
-//! The rings and the stream writer are the same ones the event bus uses
-//! (the crate-private `ring` module); this file owns only the span types
-//! and the Chrome format: the preamble, the `,\n` event framing and the
-//! `otherData` trailer.
+//! The rings and the stream writer live in the crate-private `ring`
+//! module, whose stream writer the event bus uses too; this file owns
+//! only the span types and the Chrome format: the preamble, the `,\n`
+//! event framing and the `otherData` trailer.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;

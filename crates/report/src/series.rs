@@ -1,6 +1,6 @@
 //! Numeric figure series, printable and exportable as TSV.
 
-use std::io::{self, Write};
+use std::io;
 use std::path::Path;
 
 /// A named set of columns of equal length — the data behind one figure.
@@ -82,11 +82,6 @@ impl Series {
             out.push('\n');
         }
         out
-    }
-
-    /// Writes the TSV to a writer.
-    pub fn write_tsv<W: Write>(&self, mut writer: W) -> io::Result<()> {
-        writer.write_all(self.to_tsv().as_bytes())
     }
 
     /// Writes `<dir>/<name>.tsv`, creating the directory if needed, and

@@ -242,11 +242,6 @@ impl GilbertElliott {
         })
     }
 
-    /// Whether the channel is currently in the bad (burst) state.
-    pub fn in_bad_state(&self) -> bool {
-        self.in_bad
-    }
-
     /// Advances the two-state chain to virtual time `until`. Sojourn times
     /// are exponential, so stopping mid-sojourn and resampling later is
     /// distribution-preserving (memorylessness).

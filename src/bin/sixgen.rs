@@ -306,14 +306,13 @@ fn trace_sink(cli: &Cli) -> Result<Option<Arc<TraceSink>>, String> {
 }
 
 /// Writes the Chrome trace and/or prints the summary table, per the flags,
-/// and closes the `--trace-stream` document.
+/// and closes the `--trace-stream` document. A stream that failed only
+/// warns; a `--trace-out` file that cannot be written is an error.
 fn write_trace(cli: &Cli, sink: &Option<Arc<TraceSink>>) -> Result<(), String> {
     let Some(sink) = sink else { return Ok(()) };
     if let Some(path) = &cli.trace_stream {
-        let errors = sink.stream_errors();
-        sink.finish_stream()
-            .map_err(|e| format!("cannot finish {}: {e}", path.display()))?;
-        if errors > 0 {
+        let finished = sink.finish_stream();
+        if finished.is_err() || sink.stream_errors() > 0 {
             eprintln!(
                 "warning: trace stream to {} failed after {} spans",
                 path.display(),
@@ -479,42 +478,32 @@ fn observability(
 
 impl Observability {
     /// Stops every consumer after the run: final progress repaint, a last
-    /// observer grace beat, and the NDJSON stream flushed and closed.
-    fn finish(self) -> Result<(), String> {
+    /// observer grace beat, and the NDJSON stream flushed and closed. A
+    /// stream that failed, mid-run or at this final flush, only warns:
+    /// observing a run never costs it its output.
+    fn finish(self) {
         if let Some(reporter) = self.reporter {
             reporter.finish();
         }
         if let Some(observer) = self.observer {
             observer.shutdown();
         }
-        if let Some(bus) = &self.bus {
-            if let Some(path) = &self.events_out {
-                bus.finish_stream()
-                    .map_err(|e| format!("cannot finish {}: {e}", path.display()))?;
-                if bus.stream_errors() > 0 {
-                    eprintln!(
-                        "warning: event stream to {} failed after {} events",
-                        path.display(),
-                        bus.streamed()
-                    );
-                } else {
-                    eprintln!(
-                        "events streamed to {} ({} events)",
-                        path.display(),
-                        bus.streamed()
-                    );
-                }
-            }
-            if bus.dropped() > 0 {
+        if let (Some(bus), Some(path)) = (&self.bus, &self.events_out) {
+            let finished = bus.finish_stream();
+            if finished.is_err() || bus.stream_errors() > 0 {
                 eprintln!(
-                    "note: {} progress events dropped to ring-buffer wrap \
-                     (retained the newest {})",
-                    bus.dropped(),
-                    bus.len()
+                    "warning: event stream to {} failed after {} events",
+                    path.display(),
+                    bus.streamed()
+                );
+            } else {
+                eprintln!(
+                    "events streamed to {} ({} events)",
+                    path.display(),
+                    bus.streamed()
                 );
             }
         }
-        Ok(())
     }
 }
 
@@ -714,7 +703,7 @@ fn cmd_generate_sharded(cli: &Cli) -> Result<(), String> {
             ..Config::default()
         },
     )?;
-    live.finish()?;
+    live.finish();
     for shard in fleet.shards.iter().take(24) {
         eprintln!(
             "  shard {:<32} {:>9} targets, lease {} (returned {}), stopped: {:?}",
@@ -737,9 +726,11 @@ fn cmd_generate_sharded(cli: &Cli) -> Result<(), String> {
         fleet.stats.budget_used,
         fleet.stats.budget,
     );
+    // Targets first: a metrics or trace file that cannot be written
+    // still fails the command, but never costs it its targets.
+    write_targets(cli, fleet.targets.as_slice())?;
     write_metrics(cli, &metrics)?;
-    write_trace(cli, &trace)?;
-    write_targets(cli, fleet.targets.as_slice())
+    write_trace(cli, &trace)
 }
 
 fn cmd_generate(cli: &Cli) -> Result<(), String> {
@@ -786,7 +777,7 @@ fn cmd_generate(cli: &Cli) -> Result<(), String> {
             ..Config::default()
         },
     )?;
-    live.finish()?;
+    live.finish();
     eprintln!(
         "6Gen: {} targets from {} seeds ({} clusters, stopped: {:?})",
         outcome.targets.len(),
@@ -794,9 +785,11 @@ fn cmd_generate(cli: &Cli) -> Result<(), String> {
         outcome.clusters.len(),
         outcome.stats.termination,
     );
+    // Targets first: a metrics or trace file that cannot be written
+    // still fails the command, but never costs it its targets.
+    write_targets(cli, outcome.targets.as_slice())?;
     write_metrics(cli, &metrics)?;
-    write_trace(cli, &trace)?;
-    write_targets(cli, outcome.targets.as_slice())
+    write_trace(cli, &trace)
 }
 
 fn cmd_analyze(cli: &Cli) -> Result<(), String> {
@@ -981,7 +974,7 @@ fn cmd_simulate(cli: &Cli) -> Result<(), String> {
         result.hits.len(),
         result.hits.len() as f64 / internet.active_host_count().max(1) as f64 * 100.0,
     );
-    live.finish()?;
+    live.finish();
     write_metrics(cli, &metrics)?;
     write_trace(cli, &trace)
 }

@@ -609,6 +609,81 @@ fn observe_and_events_out_do_not_perturb_targets() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Runs `generate` at budget 100 over `seeds` into `out`, plus `extra`.
+fn generate_into(
+    seeds: &std::path::Path,
+    out: &std::path::Path,
+    extra: &[&str],
+) -> std::process::Output {
+    bin()
+        .args(["generate", "--seeds"])
+        .arg(seeds)
+        .args(["--budget", "100", "--out"])
+        .arg(out)
+        .args(extra)
+        .output()
+        .expect("run sixgen")
+}
+
+/// A work dir with four seeds and the targets of a plain run over them,
+/// or `None` on a platform without `/dev/full`, where the sink-failure
+/// tests skip.
+fn dev_full_fixture(name: &str) -> Option<(PathBuf, PathBuf, String)> {
+    if !std::path::Path::new("/dev/full").exists() {
+        eprintln!("skipped: this platform has no /dev/full");
+        return None;
+    }
+    let dir = workdir(name);
+    let seeds = dir.join("seeds.txt");
+    std::fs::write(&seeds, "2001:db8::1\n2001:db8::2\n2001:db8::3\n2001:db8::11\n")
+        .expect("write seeds");
+    let plain = dir.join("plain.txt");
+    assert!(generate_into(&seeds, &plain, &[]).status.success());
+    let expected = std::fs::read_to_string(&plain).expect("read plain");
+    Some((dir, seeds, expected))
+}
+
+/// A stream that cannot be written, even only at its final flush, warns
+/// and costs the run nothing: exit 0 and the plain run's targets.
+#[test]
+fn failing_streams_warn_and_keep_the_targets() {
+    let Some((dir, seeds, expected)) = dev_full_fixture("stream-full") else {
+        return;
+    };
+    for (flag, what) in [("--events-out", "event"), ("--trace-stream", "trace")] {
+        let out = dir.join(format!("{}.txt", &flag[2..]));
+        let output = generate_into(&seeds, &out, &[flag, "/dev/full"]);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(output.status.success(), "{flag}: {stderr}");
+        assert!(
+            stderr.contains(&format!("warning: {what} stream to /dev/full failed")),
+            "{flag}: {stderr}"
+        );
+        let targets = std::fs::read_to_string(&out).expect("targets written");
+        assert_eq!(targets, expected, "{flag}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A metrics or trace file that cannot be written fails the command,
+/// but only after the targets are written.
+#[test]
+fn unwritable_metrics_or_trace_file_fails_after_the_targets() {
+    let Some((dir, seeds, expected)) = dev_full_fixture("file-full") else {
+        return;
+    };
+    for flag in ["--metrics-out", "--trace-out"] {
+        let out = dir.join(format!("{}.txt", &flag[2..]));
+        let output = generate_into(&seeds, &out, &[flag, "/dev/full/file"]);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{flag}: {stderr}");
+        assert!(stderr.contains("cannot write /dev/full/file"), "{flag}: {stderr}");
+        let targets = std::fs::read_to_string(&out).expect("targets written first");
+        assert_eq!(targets, expected, "{flag}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn progress_flag_reports_and_does_not_perturb() {
     let dir = workdir("progress");
