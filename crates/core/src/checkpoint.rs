@@ -593,9 +593,11 @@ pub struct ShardCheckpoint {
 }
 
 /// A complete sharded-driver snapshot: one [`EngineCheckpoint`] per
-/// shard plus the budget-pool state, taken at an epoch barrier by
-/// [`run_sharded_with`](crate::run_sharded_with) and resumable mid-fleet
-/// by [`resume_sharded`](crate::resume_sharded).
+/// shard plus the budget-pool state, built by
+/// [`Fleet::checkpoint`](crate::Fleet::checkpoint) when asked for (its
+/// [`run_with`](crate::Fleet::run_with) hook calls it at an epoch
+/// barrier) and resumable mid-fleet by
+/// [`Fleet::resume`](crate::Fleet::resume).
 ///
 /// The byte format wraps each shard's engine checkpoint as a
 /// length-prefixed blob (with its own magic and checksum) inside an

@@ -1503,25 +1503,6 @@ pub(crate) fn splitmix64_seed(run_seed: u64, min_bits: u128, size: u128) -> u64 
     state
 }
 
-/// Convenience function: run 6Gen over `seeds` with `config`.
-pub fn run(seeds: impl IntoIterator<Item = NybbleAddr>, config: Config) -> Outcome {
-    SixGen::new(seeds, config).run()
-}
-
-/// Convenience function: run 6Gen separately over pre-grouped seed sets
-/// (e.g. per routed prefix, as in all of the paper's experiments) with the
-/// same per-group config, returning one outcome per group.
-pub fn run_grouped<I>(groups: I, config: &Config) -> Vec<Outcome>
-where
-    I: IntoIterator,
-    I::Item: IntoIterator<Item = NybbleAddr>,
-{
-    groups
-        .into_iter()
-        .map(|seeds| SixGen::new(seeds, config.clone()).run())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1874,16 +1855,6 @@ mod tests {
         assert_eq!(outcome.stats.worker_panics, seeds.len() as u64);
         assert_eq!(outcome.stats.growths, 0);
         assert_eq!(outcome.targets.len(), seeds.len());
-    }
-
-    #[test]
-    fn run_grouped_processes_groups_independently() {
-        let g1 = addrs(&["2001:db8::1", "2001:db8::2", "2001:db8::3"]);
-        let g2 = addrs(&["fe80::a", "fe80::b"]);
-        let outcomes = run_grouped([g1, g2], &Config::with_budget(100));
-        assert_eq!(outcomes.len(), 2);
-        assert!(outcomes[0].targets.len() >= 3);
-        assert_eq!(outcomes[1].targets.len(), 2);
     }
 
     #[test]

@@ -66,12 +66,11 @@ pub use checkpoint::{
 };
 pub use cluster::{best_growth, evaluate_growth, Cluster, Growth, GrowthEvaluation};
 pub use draw::bounded_draw;
-pub use engine::{run, run_grouped, ResumeError, Session, SixGen, Step};
+pub use engine::{ResumeError, Session, SixGen, Step};
 pub use outcome::{ClusterInfo, Outcome, RunStats, TargetSet, Termination};
 pub use pool::WorkerPool;
 pub use shard::{
-    resume_sharded, resume_sharded_with, run_sharded, run_sharded_with, shard_rng_seed,
-    ShardOutcome, ShardSpec, ShardedOutcome, ShardedStats,
+    run_sharded, shard_rng_seed, Fleet, ShardOutcome, ShardSpec, ShardedOutcome, ShardedStats,
 };
 
 /// How cluster ranges widen when a new seed is absorbed (§5.3, §6.3).

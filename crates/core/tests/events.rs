@@ -11,8 +11,7 @@
 
 use sixgen_addr::{NybbleAddr, Prefix};
 use sixgen_core::{
-    run_sharded_with, ClusterMode, Config, Outcome, Session, ShardSpec, ShardedOutcome, SixGen,
-    Step,
+    ClusterMode, Config, Fleet, Outcome, Session, ShardSpec, ShardedOutcome, SixGen, Step,
 };
 use sixgen_obs::{EventBus, MetricsRegistry};
 use std::sync::{Arc, Mutex};
@@ -352,13 +351,13 @@ fn sharded_runs_are_identical_with_and_without_the_bus() {
             ..config(ClusterMode::Loose, 2_500)
         };
         let mut checkpoints: Vec<Vec<u8>> = Vec::new();
-        let outcome = run_sharded_with(specs.clone(), cfg, 2, |env| {
+        let outcome = Fleet::start(specs.clone(), cfg, 2).run_with(|fleet| {
             if flip_at_barrier {
                 if let Some(bus) = &bus {
                     bus.set_enabled(true);
                 }
             }
-            let mut env = env.clone();
+            let mut env = fleet.checkpoint();
             for shard in &mut env.shards {
                 shard.engine.cpu_time = std::time::Duration::ZERO;
                 shard.engine.wall_time = std::time::Duration::ZERO;
@@ -413,7 +412,7 @@ fn sharded_events_match_per_shard_counters() {
     let shard_count = specs.len();
     let (bus, capture) = captured_bus();
     let metrics = Arc::new(MetricsRegistry::new());
-    let outcome = run_sharded_with(
+    let outcome = Fleet::start(
         specs,
         Config {
             metrics: Some(metrics.clone()),
@@ -421,8 +420,8 @@ fn sharded_events_match_per_shard_counters() {
             ..config(ClusterMode::Loose, 2_500)
         },
         2,
-        |_| {},
-    );
+    )
+    .run();
 
     let mut initial_leases = 0u64;
     let mut done: Vec<Option<(u64, u64, u64)>> = vec![None; shard_count];

@@ -6,8 +6,8 @@
 //! behavior checks.
 
 use sixgen_core::{
-    resume_sharded, run_sharded, run_sharded_with, shard_rng_seed, CancelToken, ClusterMode,
-    Config, PanicInjection, ShardSpec, ShardedCheckpoint, ShardedOutcome,
+    run_sharded, shard_rng_seed, CancelToken, ClusterMode, Config, Fleet, PanicInjection,
+    ShardSpec, ShardedCheckpoint, ShardedOutcome,
 };
 use sixgen_addr::{NybbleAddr, Prefix};
 use sixgen_obs::{MetricsRegistry, TraceSink};
@@ -118,9 +118,8 @@ fn sharded_run_is_byte_identical_for_any_worker_count() {
                 metrics: Some(metrics.clone()),
                 ..config(mode, 3_000)
             };
-            let outcome = run_sharded_with(specs.clone(), cfg, workers, |env| {
-                checkpoints.push(canonical(env.clone()))
-            });
+            let outcome = Fleet::start(specs.clone(), cfg, workers)
+                .run_with(|fleet| checkpoints.push(canonical(fleet.checkpoint())));
             (outcome, metrics.deterministic_json(), checkpoints)
         };
         let (reference, ref_metrics, ref_checkpoints) = run(1);
@@ -169,6 +168,63 @@ fn global_budget_is_exactly_honored() {
     }
 }
 
+/// A fleet whose shards finish in different epochs: the even shards of
+/// `world(prefixes, 40)` instead hold 64 seeds packed below `::40`,
+/// which cluster completely in the first epoch and return most of their
+/// lease, while the odd shards park until the pool runs dry.
+fn staggered_world(prefixes: u128) -> Vec<ShardSpec> {
+    world(prefixes, 40)
+        .into_iter()
+        .enumerate()
+        .map(|(index, spec)| {
+            if index % 2 == 1 {
+                return spec;
+            }
+            let base = spec.prefix.network().bits();
+            ShardSpec {
+                seeds: (0..64).map(|host| NybbleAddr::from(base | host)).collect(),
+                ..spec
+            }
+        })
+        .collect()
+}
+
+/// The settled prefix a fleet streams from comes from the fleet's own
+/// shard states, with no event bus configured: before the run and at
+/// every barrier `targets_so_far` extends the list read before it, and
+/// at the last barrier it is the merged target list. Some barrier holds
+/// a finished shard's full list ahead of a running shard's committed
+/// prefix.
+#[test]
+fn targets_so_far_is_the_settled_prefix_of_the_merge() {
+    for workers in [1, 4] {
+        let cfg = config(ClusterMode::Loose, 3_000);
+        assert!(cfg.events.is_none());
+        let fleet = Fleet::start(staggered_world(6), cfg, workers);
+        let mut settled: Vec<Vec<NybbleAddr>> = vec![fleet.targets_so_far()];
+        let outcome = fleet.run_with(|fleet| settled.push(fleet.targets_so_far()));
+        for (i, pair) in settled.windows(2).enumerate() {
+            assert!(
+                pair[1].starts_with(&pair[0]),
+                "workers={workers}: barrier {} does not extend the list before it",
+                i + 1
+            );
+        }
+        assert_eq!(
+            settled.last(),
+            Some(&outcome.targets),
+            "workers={workers}: the last barrier's prefix is the merge"
+        );
+        let first_shard = outcome.shards[0].outcome.targets.len();
+        assert!(
+            settled
+                .iter()
+                .any(|list| list.len() > first_shard && list.len() < outcome.targets.len()),
+            "workers={workers}: no barrier settled one shard but not all"
+        );
+    }
+}
+
 /// Per-shard RNG streams are pure functions of (global seed, prefix):
 /// stable across calls and decorrelated across prefixes.
 #[test]
@@ -201,9 +257,8 @@ fn resume_mid_fleet_matches_uninterrupted_run() {
     let specs = world(6, 24);
     let cfg = config(ClusterMode::Loose, 1_500);
     let mut envelopes: Vec<ShardedCheckpoint> = Vec::new();
-    let reference = run_sharded_with(specs.clone(), cfg.clone(), 1, |env| {
-        envelopes.push(env.clone())
-    });
+    let reference = Fleet::start(specs.clone(), cfg.clone(), 1)
+        .run_with(|fleet| envelopes.push(fleet.checkpoint()));
     assert!(envelopes.len() >= 2, "need at least two barriers to test");
     // Resume from every barrier except the final one (after which the
     // fleet is already finished — resuming from it must also work and
@@ -211,7 +266,7 @@ fn resume_mid_fleet_matches_uninterrupted_run() {
     for (i, env) in envelopes.iter().enumerate() {
         let bytes = env.to_bytes();
         let env = ShardedCheckpoint::from_bytes(&bytes).expect("round-trip");
-        let resumed = resume_sharded(env, cfg.clone(), 3).expect("resume");
+        let resumed = Fleet::resume(env, cfg.clone(), 3).expect("resume").run();
         assert_same_fleet_outputs(&reference, &resumed, &format!("barrier {i}"));
     }
 }
@@ -253,14 +308,15 @@ fn resume_with_raised_budget_spends_the_extra() {
     let specs = world(4, 20);
     let small = config(ClusterMode::Loose, 200);
     let mut envelopes: Vec<ShardedCheckpoint> = Vec::new();
-    run_sharded_with(specs.clone(), small.clone(), 1, |env| {
-        envelopes.push(env.clone())
-    });
+    Fleet::start(specs.clone(), small.clone(), 1)
+        .run_with(|fleet| envelopes.push(fleet.checkpoint()));
     let large = Config {
         budget: 5_000,
         ..small.clone()
     };
-    let resumed = resume_sharded(envelopes[0].clone(), large.clone(), 2).expect("resume");
+    let resumed = Fleet::resume(envelopes[0].clone(), large.clone(), 2)
+        .expect("resume")
+        .run();
     let unbroken = run_sharded(specs, large, 1);
     assert_eq!(
         resumed.stats.budget_used + resumed.stats.pool_unassigned,
@@ -282,20 +338,18 @@ fn resume_with_raised_budget_spends_the_extra() {
 fn resume_rejects_mismatched_config() {
     let cfg = config(ClusterMode::Loose, 400);
     let mut envelopes: Vec<ShardedCheckpoint> = Vec::new();
-    run_sharded_with(world(3, 10), cfg.clone(), 1, |env| {
-        envelopes.push(env.clone())
-    });
+    Fleet::start(world(3, 10), cfg.clone(), 1).run_with(|fleet| envelopes.push(fleet.checkpoint()));
     let env = envelopes[0].clone();
     let wrong_seed = Config {
         rng_seed: cfg.rng_seed ^ 1,
         ..cfg.clone()
     };
-    assert!(resume_sharded(env.clone(), wrong_seed, 1).is_err());
+    assert!(Fleet::resume(env.clone(), wrong_seed, 1).is_err());
     let shrunk = Config {
         budget: 100,
         ..cfg.clone()
     };
-    assert!(resume_sharded(env, shrunk, 1).is_err());
+    assert!(Fleet::resume(env, shrunk, 1).is_err());
 }
 
 /// Cancellation stops the fleet at the next round boundary of every
@@ -380,12 +434,13 @@ fn shard_engine_spans_nest_under_the_fleet_root() {
     };
     let fresh = TraceSink::shared();
     let mut envelopes: Vec<ShardedCheckpoint> = Vec::new();
-    run_sharded_with(world(2, 20), traced(&fresh), 2, |env| {
-        envelopes.push(env.clone())
-    });
+    Fleet::start(world(2, 20), traced(&fresh), 2)
+        .run_with(|fleet| envelopes.push(fleet.checkpoint()));
     assert_nested(&fresh, "fresh");
     let resumed = TraceSink::shared();
-    resume_sharded(envelopes[0].clone(), traced(&resumed), 2).expect("resume");
+    Fleet::resume(envelopes[0].clone(), traced(&resumed), 2)
+        .expect("resume")
+        .run();
     assert_nested(&resumed, "resumed");
 }
 

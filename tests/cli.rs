@@ -644,7 +644,10 @@ fn dev_full_fixture(name: &str) -> Option<(PathBuf, PathBuf, String)> {
 }
 
 /// A stream that cannot be written, even only at its final flush, warns
-/// and costs the run nothing: exit 0 and the plain run's targets.
+/// and costs the run nothing: exit 0 and the plain run's targets. The
+/// warning says the file is incomplete and claims no count of records:
+/// the stream counts what it handed its buffer, not what reached the
+/// file.
 #[test]
 fn failing_streams_warn_and_keep_the_targets() {
     let Some((dir, seeds, expected)) = dev_full_fixture("stream-full") else {
@@ -659,6 +662,12 @@ fn failing_streams_warn_and_keep_the_targets() {
             stderr.contains(&format!("warning: {what} stream to /dev/full failed")),
             "{flag}: {stderr}"
         );
+        assert!(
+            stderr.contains(&format!(
+                "warning: {what} stream to /dev/full failed; the file is incomplete\n"
+            )),
+            "{flag}: {stderr}"
+        );
         let targets = std::fs::read_to_string(&out).expect("targets written");
         assert_eq!(targets, expected, "{flag}");
     }
@@ -666,7 +675,8 @@ fn failing_streams_warn_and_keep_the_targets() {
 }
 
 /// A metrics or trace file that cannot be written fails the command,
-/// but only after the targets are written.
+/// but only after the targets are written, and an unwritable metrics
+/// file still lets a `--trace-stream` document close.
 #[test]
 fn unwritable_metrics_or_trace_file_fails_after_the_targets() {
     let Some((dir, seeds, expected)) = dev_full_fixture("file-full") else {
@@ -681,6 +691,26 @@ fn unwritable_metrics_or_trace_file_fails_after_the_targets() {
         let targets = std::fs::read_to_string(&out).expect("targets written first");
         assert_eq!(targets, expected, "{flag}");
     }
+    let out = dir.join("metrics-and-stream.txt");
+    let stream = dir.join("stream.json");
+    let stream_arg = stream.to_str().expect("utf-8 path");
+    let output = generate_into(
+        &seeds,
+        &out,
+        &[
+            "--metrics-out",
+            "/dev/full/file",
+            "--trace-stream",
+            stream_arg,
+        ],
+    );
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("cannot write /dev/full/file"), "{stderr}");
+    let text = std::fs::read_to_string(&stream).expect("stream file");
+    sixgen::obs::validate_json(&text).expect("the trace stream is closed");
+    let targets = std::fs::read_to_string(&out).expect("targets written first");
+    assert_eq!(targets, expected);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -15,8 +15,7 @@ use std::time::{Duration, Instant};
 
 use sixgen::addr::NybbleAddr;
 use sixgen::core::{
-    run_sharded, run_sharded_with, CheckpointWriter, Config, ShardSpec, ShardedCheckpoint, SixGen,
-    Step,
+    run_sharded, CheckpointWriter, Config, Fleet, ShardSpec, ShardedCheckpoint, SixGen, Step,
 };
 use sixgen::datasets::io::{write_hitlist, write_hitlist_file};
 use sixgen::routing::partition_by_length;
@@ -213,7 +212,7 @@ fn sharded_job_stream_matches_sharded_reference() {
         .into_iter()
         .map(|(prefix, seeds)| ShardSpec { prefix, seeds })
         .collect();
-    let reference = run_sharded_with(specs, config, 2, |_| {});
+    let reference = run_sharded(specs, config, 2);
     let expected = render(&reference.targets);
 
     let manager = JobManager::new(None).expect("manager");
@@ -387,9 +386,7 @@ fn manager_restart_resumes_sharded_job_from_envelope() {
     // epoch barrier: upload, meta with `shards=2`, and that barrier's
     // envelope.
     let mut envelopes: Vec<ShardedCheckpoint> = Vec::new();
-    run_sharded_with(specs, config, 2, |envelope| {
-        envelopes.push(envelope.clone())
-    });
+    Fleet::start(specs, config, 2).run_with(|fleet| envelopes.push(fleet.checkpoint()));
     assert!(envelopes.len() >= 2, "the first barrier must be mid-fleet");
     write_hitlist_file(dir.join("job-1.seeds"), &seeds).expect("persist seeds");
     CheckpointWriter::new(dir.join("job-1.ckpt"))
