@@ -40,8 +40,9 @@
 //!   --metrics-out <file>  write the aggregated metrics registry as JSON
 //!                         (a `.prom` extension selects Prometheus text
 //!                         exposition instead)
-//!   --trace-out <file>    write a Chrome trace-event JSON of the run
-//!                         (loadable in Perfetto / chrome://tracing)
+//!   --trace-out <file>    stream every span of the run to <file> as
+//!                         Chrome trace-event JSON (loadable in Perfetto /
+//!                         chrome://tracing)
 //!   --trace-summary       print a per-span-kind self-time summary table
 //!   --observe <addr>      serve read-only GET /metrics, /status, and
 //!                         /healthz on <addr> while the experiments run
@@ -133,7 +134,17 @@ fn main() {
         opts.metrics = Some(MetricsRegistry::shared());
     }
     if trace_out.is_some() || trace_summary {
-        opts.trace = Some(TraceSink::shared());
+        let sink = TraceSink::shared();
+        if let Some(path) = &trace_out {
+            let attached = std::fs::File::create(path).and_then(|file| {
+                sink.stream_to(Box::new(std::io::BufWriter::new(file)))
+            });
+            if let Err(e) = attached {
+                eprintln!("error: cannot create {}: {e}", path.display());
+                std::process::exit(1);
+            }
+        }
+        opts.trace = Some(sink);
     }
     let observer = observe.as_ref().map(|addr| {
         opts.events = Some(EventBus::shared());
@@ -208,6 +219,25 @@ fn main() {
     if let Some(observer) = observer {
         observer.shutdown();
     }
+    if let Some(sink) = &opts.trace {
+        if let Some(path) = &trace_out {
+            if sink.finish_stream().is_err() || sink.stream_errors() > 0 {
+                eprintln!(
+                    "warning: trace stream to {} failed; the file is incomplete",
+                    path.display()
+                );
+            } else {
+                eprintln!(
+                    "trace written to {} ({} spans)",
+                    path.display(),
+                    sink.streamed()
+                );
+            }
+        }
+        if trace_summary {
+            println!("\n{}", sink.render_summary());
+        }
+    }
     if let (Some(path), Some(registry)) = (&metrics_out, &opts.metrics) {
         let prom = path.extension().is_some_and(|e| e == "prom");
         let body = if prom {
@@ -221,21 +251,6 @@ fn main() {
             path.display(),
             if prom { "prometheus" } else { "json" }
         );
-    }
-    if let Some(sink) = &opts.trace {
-        if let Some(path) = &trace_out {
-            sixgen_obs::write_atomic(path, sink.to_chrome_json().as_bytes())
-                .expect("write chrome trace");
-            eprintln!(
-                "trace written to {} ({} spans, {} dropped)",
-                path.display(),
-                sink.len(),
-                sink.dropped()
-            );
-        }
-        if trace_summary {
-            println!("\n{}", sink.render_summary());
-        }
     }
     experiments::banner_done(&opts);
 }

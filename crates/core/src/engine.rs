@@ -1908,13 +1908,92 @@ mod tests {
         assert_eq!(section(1), section(4), "serial vs parallel");
     }
 
+    /// A stream kept in memory.
+    #[derive(Clone, Default)]
+    struct Capture(Arc<std::sync::Mutex<Vec<u8>>>);
+
+    impl Capture {
+        fn text(&self) -> String {
+            String::from_utf8(self.0.lock().unwrap().clone()).unwrap()
+        }
+    }
+
+    impl std::io::Write for Capture {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The value of a streamed line's numeric field `key`, if present.
+    fn field(line: &str, key: &str) -> Option<u64> {
+        let rest = line.split(&format!("\"{key}\":")).nth(1)?;
+        Some(rest.split([',', '}']).next()?.parse().expect(key))
+    }
+
+    /// One span of a streamed trace, read from its Chrome event line.
+    struct TracedSpan {
+        line: String,
+        start_ns: u64,
+        end_ns: u64,
+    }
+
+    impl TracedSpan {
+        fn is(&self, category: &str, name: &str) -> bool {
+            self.line
+                .contains(&format!("\"cat\":\"{category}\",\"name\":\"{name}\""))
+        }
+
+        fn id(&self) -> u64 {
+            field(&self.line, "span_id").unwrap()
+        }
+    }
+
+    /// An enabled trace sink streaming into the returned capture.
+    fn traced_sink() -> (Arc<sixgen_obs::TraceSink>, Capture) {
+        let sink = sixgen_obs::TraceSink::shared();
+        let capture = Capture::default();
+        sink.stream_to(Box::new(capture.clone())).unwrap();
+        (sink, capture)
+    }
+
+    /// Closes the sink's stream and returns every recorded span, sorted
+    /// by start (ties by id).
+    fn streamed_spans(sink: &sixgen_obs::TraceSink, capture: &Capture) -> Vec<TracedSpan> {
+        sink.finish_stream().unwrap();
+        // `ts` and `dur` are microseconds with three decimals.
+        let ns = |line: &str, key: &str| {
+            let rest = line.split(&format!("\"{key}\":")).nth(1).unwrap();
+            let (us, frac) = rest.split(',').next().unwrap().split_once('.').unwrap();
+            us.parse::<u64>().unwrap() * 1_000 + frac.parse::<u64>().unwrap()
+        };
+        let mut spans: Vec<TracedSpan> = capture
+            .text()
+            .lines()
+            .filter(|line| line.contains("\"ph\":\"X\""))
+            .map(|line| {
+                let start_ns = ns(line, "ts");
+                TracedSpan {
+                    line: line.to_owned(),
+                    start_ns,
+                    end_ns: start_ns + ns(line, "dur"),
+                }
+            })
+            .collect();
+        assert_eq!(spans.len() as u64, sink.recorded(), "every span streamed");
+        spans.sort_by_key(|span| (span.start_ns, span.id()));
+        spans
+    }
+
     #[test]
     fn tracing_observes_without_perturbing() {
-        use sixgen_obs::TraceSink;
         let seeds = parallel_test_seeds();
         // Bare run vs traced run: identical targets.
         let bare = SixGen::new(seeds.clone(), Config::with_budget(2000)).run();
-        let sink = TraceSink::shared();
+        let (sink, capture) = traced_sink();
         let traced = SixGen::new(
             seeds.clone(),
             Config {
@@ -1928,38 +2007,39 @@ mod tests {
         assert_eq!(bare.stats.growths, traced.stats.growths);
         // The trace holds a run root with nested phase and per-cluster
         // growth_eval spans carrying the documented attributes.
-        let spans = sink.snapshot();
+        let spans = streamed_spans(&sink, &capture);
         let root = spans
             .iter()
-            .find(|s| s.category == "engine" && s.name == "run")
+            .find(|s| s.is("engine", "run"))
             .expect("run root span");
-        assert!(root.attrs().iter().any(|&(k, v)| k == "seeds" && v == 70));
+        assert_eq!(field(&root.line, "seeds"), Some(70));
         let fill = spans
             .iter()
-            .find(|s| s.name == "cache_fill")
+            .find(|s| s.is("engine", "cache_fill"))
             .expect("cache_fill span");
-        assert_eq!(fill.parent, root.id, "phases nest under the root");
+        assert_eq!(field(&fill.line, "parent"), Some(root.id()), "phases nest under the root");
         let eval = spans
             .iter()
-            .find(|s| s.name == "growth_eval")
+            .find(|s| s.is("engine", "growth_eval"))
             .expect("growth_eval span");
-        assert!(eval.attrs().iter().any(|&(k, _)| k == "cluster"));
-        assert!(eval.attrs().iter().any(|&(k, _)| k == "candidates"));
+        assert!(field(&eval.line, "cluster").is_some());
+        assert!(field(&eval.line, "candidates").is_some());
         assert!(
-            spans.iter().filter(|s| s.name == "growth_eval").count() >= seeds.len(),
+            spans.iter().filter(|s| s.is("engine", "growth_eval")).count() >= seeds.len(),
             "one span per cluster in the first round alone"
         );
         // The root covers its session: every span parented under it lies
         // inside its interval.
-        let children: Vec<_> = spans.iter().filter(|s| s.parent == root.id).collect();
+        let children: Vec<_> = spans
+            .iter()
+            .filter(|s| field(&s.line, "parent") == Some(root.id()))
+            .collect();
         assert!(children.len() > 4, "phases of several rounds");
         for child in children {
             assert!(
                 root.start_ns <= child.start_ns && child.end_ns <= root.end_ns,
-                "{} [{}, {}] lies outside engine/run [{}, {}]",
-                child.name,
-                child.start_ns,
-                child.end_ns,
+                "{} lies outside engine/run [{}, {}]",
+                child.line,
                 root.start_ns,
                 root.end_ns
             );
@@ -1972,27 +2052,10 @@ mod tests {
     /// phase timer, at one thread and with parallel fills on four.
     #[test]
     fn phase_spans_timers_and_round_events_agree() {
-        use sixgen_obs::{EventBus, TraceSink};
-        /// The bus's NDJSON stream, kept in memory.
-        #[derive(Clone, Default)]
-        struct Capture(Arc<std::sync::Mutex<Vec<u8>>>);
-        impl std::io::Write for Capture {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        /// The value of a line's numeric field `key`.
-        fn field(line: &str, key: &str) -> u64 {
-            let rest = line.split(&format!("\"{key}\":")).nth(1).expect(key);
-            rest.split([',', '}']).next().unwrap().parse().expect(key)
-        }
+        use sixgen_obs::EventBus;
         let phases = ["cache_fill", "select", "commit", "subsume"];
         for threads in [1, 4] {
-            let sink = TraceSink::shared();
+            let (sink, trace_capture) = traced_sink();
             let registry = MetricsRegistry::shared();
             let bus = EventBus::shared();
             let capture = Capture::default();
@@ -2011,24 +2074,26 @@ mod tests {
             assert_eq!(outcome.stats.termination, Termination::BudgetExhausted);
             bus.finish_stream().unwrap();
             assert_eq!(bus.streamed(), bus.published());
-            let text = String::from_utf8(capture.0.lock().unwrap().clone()).unwrap();
+            let text = capture.text();
             let rounds: Vec<&str> = text
                 .lines()
                 .filter(|line| line.contains("\"kind\":\"round\""))
                 .collect();
             assert!(rounds.len() > 3, "threads {threads}: multi-round run");
-            assert_eq!(sink.dropped(), 0);
-            let spans = sink.snapshot();
-            for name in phases {
-                let durations: Vec<u64> = spans
+            let spans = streamed_spans(&sink, &trace_capture);
+            let durations = |name: &str| -> Vec<u64> {
+                spans
                     .iter()
-                    .filter(|s| s.category == "engine" && s.name == name)
-                    .map(|s| s.duration_ns())
-                    .collect();
+                    .filter(|s| s.is("engine", name))
+                    .map(|s| s.end_ns - s.start_ns)
+                    .collect()
+            };
+            for name in phases {
+                let durations = durations(name);
                 assert!(durations.len() >= rounds.len(), "threads {threads}: {name}");
                 for (k, round) in rounds.iter().enumerate() {
                     assert_eq!(
-                        durations[k],
+                        Some(durations[k]),
                         field(round, name),
                         "threads {threads}: {name} span of round {}",
                         k + 1
@@ -2048,11 +2113,7 @@ mod tests {
             }
             // The terminal round publishes no event; its one final
             // sampling span feeds the `final_sample` timer alone.
-            let finals: Vec<u64> = spans
-                .iter()
-                .filter(|s| s.category == "engine" && s.name == "final_sample")
-                .map(|s| s.duration_ns())
-                .collect();
+            let finals = durations("final_sample");
             assert_eq!(finals.len(), 1, "threads {threads}");
             let timer = registry.phase("engine/final_sample");
             assert_eq!(timer.count(), 1, "threads {threads}");

@@ -9,12 +9,13 @@
 //! and fleet counters that match the `engine/shard/{i}/*` metric
 //! attributions.
 
-use sixgen_addr::{NybbleAddr, Prefix};
-use sixgen_core::{
-    ClusterMode, Config, Fleet, Outcome, Session, ShardSpec, ShardedOutcome, SixGen, Step,
-};
+mod common;
+
+use common::{num, staggered_world, text, world, Capture};
+use sixgen_addr::NybbleAddr;
+use sixgen_core::{ClusterMode, Config, Fleet, Outcome, Session, ShardedOutcome, SixGen, Step};
 use sixgen_obs::{EventBus, MetricsRegistry};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Multi-round engine workload: ten dense seed groups plus stragglers
 /// (the world of the engine's round-check unit test).
@@ -30,25 +31,6 @@ fn seeds() -> Vec<NybbleAddr> {
         (1..=5u128).map(|g| NybbleAddr::from_bits(0x2001_0db8 << 96 | (g * 0x111) << 4 | 8)),
     );
     seeds
-}
-
-/// Deterministic multi-prefix world with unequal densities, so shards
-/// exhaust leases at different times and the pool recirculates.
-fn world(prefixes: u128, per_prefix: u64) -> Vec<ShardSpec> {
-    (0..prefixes)
-        .map(|p| {
-            let base = (0x2001_0db8u128 << 96) | (p << 80);
-            let prefix = Prefix::new(NybbleAddr::from(base), 48);
-            let seeds = (0..per_prefix)
-                .map(|i| {
-                    let subnet = (i % (2 + p as u64 % 3)) as u128;
-                    let host = (i as u128 * 7 + p * 3) % 200;
-                    NybbleAddr::from(base | (subnet << 16) | host)
-                })
-                .collect();
-            ShardSpec { prefix, seeds }
-        })
-        .collect()
 }
 
 fn config(mode: ClusterMode, budget: u64) -> Config {
@@ -89,20 +71,6 @@ fn assert_same_outcome(reference: &Outcome, other: &Outcome, what: &str) {
     );
 }
 
-/// A bus's NDJSON stream, kept in memory.
-#[derive(Clone, Default)]
-struct Capture(Arc<Mutex<Vec<u8>>>);
-
-impl std::io::Write for Capture {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().unwrap().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
 /// An enabled bus streaming into the returned capture.
 fn captured_bus() -> (Arc<EventBus>, Capture) {
     let bus = EventBus::shared();
@@ -117,32 +85,11 @@ fn streamed_lines(bus: &EventBus, capture: &Capture) -> Vec<String> {
     bus.finish_stream().expect("in-memory stream");
     assert_eq!(bus.stream_errors(), 0);
     assert_eq!(bus.streamed(), bus.published());
-    let text = String::from_utf8(capture.0.lock().unwrap().clone()).expect("UTF-8 NDJSON");
-    let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+    let mut lines: Vec<String> = capture.text().lines().map(str::to_owned).collect();
     lines.sort_by_key(|line| num(line, "seq"));
     let seqs: Vec<u64> = lines.iter().map(|line| num(line, "seq")).collect();
     assert_eq!(seqs, (1..=bus.published()).collect::<Vec<u64>>());
     lines
-}
-
-/// The value of a line's numeric field `key`.
-fn num(line: &str, key: &str) -> u64 {
-    let raw = value(line, key);
-    raw.parse()
-        .unwrap_or_else(|e| panic!("non-numeric {key} {raw:?} in {line:?}: {e}"))
-}
-
-/// The value of a line's string field `key`.
-fn text<'a>(line: &'a str, key: &str) -> &'a str {
-    value(line, key).trim_matches('"')
-}
-
-/// The raw text of a line's field `key`, up to the next `,` or `}`.
-fn value<'a>(line: &'a str, key: &str) -> &'a str {
-    line.split(&format!("\"{key}\":"))
-        .nth(1)
-        .and_then(|rest| rest.split([',', '}']).next())
-        .unwrap_or_else(|| panic!("no {key} in {line:?}"))
 }
 
 fn timeless_bytes(session: &Session) -> Vec<u8> {
@@ -339,67 +286,73 @@ fn assert_same_fleet(reference: &ShardedOutcome, other: &ShardedOutcome, label: 
 /// Tentpole invariant, fleet level: a sharded run with the bus absent,
 /// enabled, disabled, or enabled mid-fleet (flipped at the first epoch
 /// barrier) produces identical merged outputs, per-shard results,
-/// barrier checkpoints, and deterministic metrics.
+/// barrier checkpoints, and deterministic metrics, on a fleet whose
+/// shards spend their initial leases and on one whose pool grants budget
+/// after epoch 0.
 #[test]
 fn sharded_runs_are_identical_with_and_without_the_bus() {
-    let specs = world(6, 30);
-    let run = |bus: Option<Arc<EventBus>>, flip_at_barrier: bool| {
-        let metrics = Arc::new(MetricsRegistry::new());
-        let cfg = Config {
-            metrics: Some(metrics.clone()),
-            events: bus.clone(),
-            ..config(ClusterMode::Loose, 2_500)
-        };
-        let mut checkpoints: Vec<Vec<u8>> = Vec::new();
-        let outcome = Fleet::start(specs.clone(), cfg, 2).run_with(|fleet| {
-            if flip_at_barrier {
-                if let Some(bus) = &bus {
-                    bus.set_enabled(true);
+    let mut re_leases = 0;
+    for specs in [world(6, 30), staggered_world(6)] {
+        let run = |bus: Option<Arc<EventBus>>, flip_at_barrier: bool| {
+            let metrics = Arc::new(MetricsRegistry::new());
+            let cfg = Config {
+                metrics: Some(metrics.clone()),
+                events: bus.clone(),
+                ..config(ClusterMode::Loose, 2_500)
+            };
+            let mut checkpoints: Vec<Vec<u8>> = Vec::new();
+            let outcome = Fleet::start(specs.clone(), cfg, 2).run_with(|fleet| {
+                if flip_at_barrier {
+                    if let Some(bus) = &bus {
+                        bus.set_enabled(true);
+                    }
                 }
-            }
-            let mut env = fleet.checkpoint();
-            for shard in &mut env.shards {
-                shard.engine.cpu_time = std::time::Duration::ZERO;
-                shard.engine.wall_time = std::time::Duration::ZERO;
-            }
-            checkpoints.push(env.to_bytes());
-        });
-        (outcome, metrics, checkpoints)
-    };
+                let mut env = fleet.checkpoint();
+                for shard in &mut env.shards {
+                    shard.engine.cpu_time = std::time::Duration::ZERO;
+                    shard.engine.wall_time = std::time::Duration::ZERO;
+                }
+                checkpoints.push(env.to_bytes());
+            });
+            (outcome, metrics, checkpoints)
+        };
 
-    let (reference, bare_metrics, bare_checkpoints) = run(None, false);
-    assert!(
-        reference.stats.epochs >= 2,
-        "workload must recirculate the pool"
-    );
+        let (reference, bare_metrics, bare_checkpoints) = run(None, false);
 
-    let enabled = EventBus::shared();
-    let disabled = EventBus::shared();
-    disabled.set_enabled(false);
-    let late = EventBus::shared();
-    late.set_enabled(false);
-    for (name, bus, flip) in [
-        ("enabled", Arc::clone(&enabled), false),
-        ("disabled", disabled, false),
-        ("mid-fleet", Arc::clone(&late), true),
-    ] {
-        let (outcome, metrics, checkpoints) = run(Some(bus), flip);
-        assert_same_fleet(&reference, &outcome, name);
-        assert_eq!(
-            bare_metrics.deterministic_json(),
-            metrics.deterministic_json(),
-            "{name}: deterministic metrics diverged"
+        let (enabled, capture) = captured_bus();
+        let disabled = EventBus::shared();
+        disabled.set_enabled(false);
+        let late = EventBus::shared();
+        late.set_enabled(false);
+        for (name, bus, flip) in [
+            ("enabled", Arc::clone(&enabled), false),
+            ("disabled", disabled, false),
+            ("mid-fleet", Arc::clone(&late), true),
+        ] {
+            let name = format!("{} shards/{name}", specs.len());
+            let (outcome, metrics, checkpoints) = run(Some(bus), flip);
+            assert_same_fleet(&reference, &outcome, &name);
+            assert_eq!(
+                bare_metrics.deterministic_json(),
+                metrics.deterministic_json(),
+                "{name}: deterministic metrics diverged"
+            );
+            assert_eq!(
+                bare_checkpoints, checkpoints,
+                "{name}: barrier checkpoints diverged"
+            );
+        }
+        assert!(enabled.published() > 0);
+        assert!(
+            late.published() > 0 && late.published() < enabled.published(),
+            "a mid-fleet bus observes a strict suffix of the run"
         );
-        assert_eq!(
-            bare_checkpoints, checkpoints,
-            "{name}: barrier checkpoints diverged"
-        );
+        re_leases += streamed_lines(&enabled, &capture)
+            .iter()
+            .filter(|line| text(line, "kind") == "lease" && num(line, "epoch") > 0)
+            .count();
     }
-    assert!(enabled.published() > 0);
-    assert!(
-        late.published() > 0 && late.published() < enabled.published(),
-        "a mid-fleet bus observes a strict suffix of the run"
-    );
+    assert!(re_leases > 0, "no fleet was granted budget after epoch 0");
 }
 
 /// Fleet events reconcile with the fleet outcome: initial leases sum to

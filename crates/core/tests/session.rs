@@ -8,13 +8,15 @@
 //! stats, and deterministic metrics to the run that was never
 //! interrupted.
 
+mod common;
+
 use proptest::prelude::*;
 use sixgen_addr::NybbleAddr;
 use sixgen_core::{
     CancelToken, ClusterMode, Config, EngineCheckpoint, Outcome, ResumeError, Session, SixGen,
     Step, Termination,
 };
-use sixgen_obs::{MetricsRegistry, TraceSink};
+use sixgen_obs::MetricsRegistry;
 use std::sync::Arc;
 
 /// Ten dense groups of three seeds each (hosts 0–2 in the last nybble),
@@ -332,7 +334,7 @@ fn unfired_token_is_invisible() {
 #[test]
 fn resumed_root_span_encloses_its_children() {
     let cfg = config(ClusterMode::Loose, 300);
-    let sink = TraceSink::shared();
+    let (sink, capture) = common::traced_sink();
     let traced = Config {
         trace: Some(Arc::clone(&sink)),
         ..cfg.clone()
@@ -341,18 +343,14 @@ fn resumed_root_span_encloses_its_children() {
         .unwrap()
         .run();
     assert!(resumed.stats.rounds > 4, "the resumed segment runs rounds");
-    let spans = sink.snapshot();
+    let spans = common::streamed_spans(&sink, &capture);
     let roots: Vec<_> = spans
         .iter()
         .filter(|s| s.category == "engine" && s.name == "run")
         .collect();
     assert_eq!(roots.len(), 1, "one root per segment");
     let root = roots[0];
-    assert!(
-        root.attrs().contains(&("resumed_at_round", 3)),
-        "{:?}",
-        root.attrs()
-    );
+    assert_eq!(root.attr("resumed_at_round"), 3);
     let children: Vec<_> = spans.iter().filter(|s| s.parent == root.id).collect();
     assert!(children.len() > 4, "phases of several rounds");
     for child in children {

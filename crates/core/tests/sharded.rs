@@ -5,38 +5,17 @@
 //! modes; plus budget-conservation, resume-mid-fleet, and cancellation
 //! behavior checks.
 
+mod common;
+
+use common::{staggered_world, streamed_spans, traced_sink, world, Capture};
+use sixgen_addr::NybbleAddr;
 use sixgen_core::{
-    run_sharded, shard_rng_seed, CancelToken, ClusterMode, Config, Fleet, PanicInjection,
-    ShardSpec, ShardedCheckpoint, ShardedOutcome,
+    run_sharded, shard_rng_seed, split_proportional, CancelToken, ClusterMode, Config, Fleet,
+    PanicInjection, ShardSpec, ShardedCheckpoint, ShardedOutcome,
 };
-use sixgen_addr::{NybbleAddr, Prefix};
 use sixgen_obs::{MetricsRegistry, TraceSink};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-
-/// Builds a deterministic multi-prefix world: `prefixes` routed /48s,
-/// each holding `per_prefix` seeds spread over a few dense /112 subnets
-/// (so clusters form and grow), with deliberately unequal densities so
-/// shards exhaust their leases at different times and the budget pool
-/// actually recirculates.
-fn world(prefixes: u128, per_prefix: u64) -> Vec<ShardSpec> {
-    (0..prefixes)
-        .map(|p| {
-            let base = (0x2001_0db8u128 << 96) | (p << 80);
-            let prefix = Prefix::new(NybbleAddr::from(base), 48);
-            let seeds = (0..per_prefix)
-                .map(|i| {
-                    let subnet = (i % (2 + p as u64 % 3)) as u128;
-                    // A mildly irregular low word keeps ranges from
-                    // being trivially identical across prefixes.
-                    let host = (i as u128 * 7 + p * 3) % 200;
-                    NybbleAddr::from(base | (subnet << 16) | host)
-                })
-                .collect();
-            ShardSpec { prefix, seeds }
-        })
-        .collect()
-}
 
 fn config(mode: ClusterMode, budget: u64) -> Config {
     Config {
@@ -106,11 +85,17 @@ fn assert_same_fleet(reference: &ShardedOutcome, other: &ShardedOutcome, label: 
 /// Tentpole invariant: worker count never changes anything observable.
 /// Compares workers ∈ {2, 4, 8} against the single-worker reference in
 /// both modes — outputs, deterministic metrics, and every barrier
-/// checkpoint (timing zeroed).
+/// checkpoint (timing zeroed) — on a fleet whose shards spend their
+/// initial leases and on one whose pool grants budget after epoch 0.
 #[test]
 fn sharded_run_is_byte_identical_for_any_worker_count() {
-    for mode in [ClusterMode::Loose, ClusterMode::Tight] {
-        let specs = world(8, 40);
+    let mut re_leases = 0;
+    for (mode, specs) in [
+        (ClusterMode::Loose, world(8, 40)),
+        (ClusterMode::Tight, world(8, 40)),
+        (ClusterMode::Loose, staggered_world(6)),
+        (ClusterMode::Tight, staggered_world(6)),
+    ] {
         let run = |workers: usize| {
             let metrics = Arc::new(MetricsRegistry::new());
             let mut checkpoints: Vec<Vec<u8>> = Vec::new();
@@ -123,13 +108,9 @@ fn sharded_run_is_byte_identical_for_any_worker_count() {
             (outcome, metrics.deterministic_json(), checkpoints)
         };
         let (reference, ref_metrics, ref_checkpoints) = run(1);
-        assert!(
-            reference.stats.epochs >= 2,
-            "world too easy: budget never recirculated ({} epochs)",
-            reference.stats.epochs
-        );
+        re_leases += usize::from(re_leased(&specs, &reference, 3_000));
         for workers in [2, 4, 8] {
-            let label = format!("{mode:?}/workers={workers}");
+            let label = format!("{mode:?}/{} shards/workers={workers}", specs.len());
             let (outcome, metrics, checkpoints) = run(workers);
             assert_same_fleet(&reference, &outcome, &label);
             assert_eq!(ref_metrics, metrics, "{label}: deterministic metrics");
@@ -137,6 +118,27 @@ fn sharded_run_is_byte_identical_for_any_worker_count() {
             assert_eq!(outcome.stats.workers, workers, "{label}: worker count");
         }
     }
+    assert!(re_leases > 0, "no fleet was granted budget after epoch 0");
+}
+
+/// Whether the pool granted some shard budget after epoch 0: its final
+/// lease exceeds its initial proportional slice of `budget`.
+fn re_leased(specs: &[ShardSpec], outcome: &ShardedOutcome, budget: u64) -> bool {
+    let shares: Vec<u64> = specs
+        .iter()
+        .map(|spec| {
+            let mut seeds = spec.seeds.clone();
+            seeds.sort_unstable();
+            seeds.dedup();
+            seeds.len() as u64
+        })
+        .collect();
+    let initial = split_proportional(budget, &shares);
+    outcome
+        .shards
+        .iter()
+        .zip(initial)
+        .any(|(shard, slice)| shard.lease > slice)
 }
 
 /// The global budget is exactly honored: when demand suffices the fleet
@@ -166,27 +168,6 @@ fn global_budget_is_exactly_honored() {
             assert_eq!(outcome.stats.budget_used, budget, "exact use at {budget}");
         }
     }
-}
-
-/// A fleet whose shards finish in different epochs: the even shards of
-/// `world(prefixes, 40)` instead hold 64 seeds packed below `::40`,
-/// which cluster completely in the first epoch and return most of their
-/// lease, while the odd shards park until the pool runs dry.
-fn staggered_world(prefixes: u128) -> Vec<ShardSpec> {
-    world(prefixes, 40)
-        .into_iter()
-        .enumerate()
-        .map(|(index, spec)| {
-            if index % 2 == 1 {
-                return spec;
-            }
-            let base = spec.prefix.network().bits();
-            ShardSpec {
-                seeds: (0..64).map(|host| NybbleAddr::from(base | host)).collect(),
-                ..spec
-            }
-        })
-        .collect()
 }
 
 /// The settled prefix a fleet streams from comes from the fleet's own
@@ -251,24 +232,30 @@ fn shard_rng_seeds_are_stable_and_distinct() {
 }
 
 /// Interrupting a fleet at any barrier and resuming from the envelope
-/// (through bytes) reproduces the uninterrupted fleet exactly.
+/// (through bytes) reproduces the uninterrupted fleet exactly, also when
+/// the pool re-leases budget between barriers.
 #[test]
 fn resume_mid_fleet_matches_uninterrupted_run() {
-    let specs = world(6, 24);
     let cfg = config(ClusterMode::Loose, 1_500);
-    let mut envelopes: Vec<ShardedCheckpoint> = Vec::new();
-    let reference = Fleet::start(specs.clone(), cfg.clone(), 1)
-        .run_with(|fleet| envelopes.push(fleet.checkpoint()));
-    assert!(envelopes.len() >= 2, "need at least two barriers to test");
-    // Resume from every barrier except the final one (after which the
-    // fleet is already finished — resuming from it must also work and
-    // simply re-derive the terminations).
-    for (i, env) in envelopes.iter().enumerate() {
-        let bytes = env.to_bytes();
-        let env = ShardedCheckpoint::from_bytes(&bytes).expect("round-trip");
-        let resumed = Fleet::resume(env, cfg.clone(), 3).expect("resume").run();
-        assert_same_fleet_outputs(&reference, &resumed, &format!("barrier {i}"));
+    let mut re_leases = 0;
+    for specs in [world(6, 24), staggered_world(6)] {
+        let mut envelopes: Vec<ShardedCheckpoint> = Vec::new();
+        let reference = Fleet::start(specs.clone(), cfg.clone(), 1)
+            .run_with(|fleet| envelopes.push(fleet.checkpoint()));
+        assert!(envelopes.len() >= 2, "need at least two barriers to test");
+        re_leases += usize::from(re_leased(&specs, &reference, cfg.budget));
+        // Resume from every barrier, the final one included (after which
+        // the fleet is already finished — resuming from it must also work
+        // and simply re-derive the terminations).
+        for (i, env) in envelopes.iter().enumerate() {
+            let bytes = env.to_bytes();
+            let env = ShardedCheckpoint::from_bytes(&bytes).expect("round-trip");
+            let resumed = Fleet::resume(env, cfg.clone(), 3).expect("resume").run();
+            let label = format!("{} shards, barrier {i}", specs.len());
+            assert_same_fleet_outputs(&reference, &resumed, &label);
+        }
     }
+    assert!(re_leases > 0, "no fleet was granted budget after epoch 0");
 }
 
 /// Like [`assert_same_fleet`] but ignores epoch counts: a resumed fleet
@@ -417,8 +404,8 @@ fn shard_engine_spans_nest_under_the_fleet_root() {
         trace: Some(Arc::clone(sink)),
         ..config(ClusterMode::Loose, 400)
     };
-    let assert_nested = |sink: &TraceSink, label: &str| {
-        let spans = sink.snapshot();
+    let assert_nested = |sink: &TraceSink, capture: &Capture, label: &str| {
+        let spans = streamed_spans(sink, capture);
         let roots: Vec<u64> = spans
             .iter()
             .filter(|s| s.category == "sharded" && s.name == "run")
@@ -432,16 +419,16 @@ fn shard_engine_spans_nest_under_the_fleet_root() {
             .collect();
         assert_eq!(parents, [roots[0]; 2], "{label}: engine/run parents");
     };
-    let fresh = TraceSink::shared();
+    let (fresh, capture) = traced_sink();
     let mut envelopes: Vec<ShardedCheckpoint> = Vec::new();
     Fleet::start(world(2, 20), traced(&fresh), 2)
         .run_with(|fleet| envelopes.push(fleet.checkpoint()));
-    assert_nested(&fresh, "fresh");
-    let resumed = TraceSink::shared();
+    assert_nested(&fresh, &capture, "fresh");
+    let (resumed, capture) = traced_sink();
     Fleet::resume(envelopes[0].clone(), traced(&resumed), 2)
         .expect("resume")
         .run();
-    assert_nested(&resumed, "resumed");
+    assert_nested(&resumed, &capture, "resumed");
 }
 
 /// A shard whose step panics fails the whole fleet with its own panic,

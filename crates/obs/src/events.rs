@@ -42,7 +42,7 @@
 //! the only record of individual events.
 //!
 //! The stream writer is shared with the trace sink (the crate-private
-//! `ring` module); this file owns only the event types, the live table
+//! `stream` module); this file owns only the event types, the live table
 //! and the NDJSON format, one line per event.
 
 use std::collections::{BTreeMap, VecDeque};
@@ -52,7 +52,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::escape_json;
-use crate::ring::{thread_id, LiveStream};
+use crate::stream::{thread_id, LiveStream};
 
 /// Throughput samples retained for the rolling budget-burn estimate.
 const SAMPLE_WINDOW: usize = 256;

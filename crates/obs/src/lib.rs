@@ -48,7 +48,7 @@
 
 pub mod events;
 mod prom;
-mod ring;
+mod stream;
 pub mod serve;
 pub mod trace;
 
@@ -57,7 +57,7 @@ pub use serve::{
     observer_response, status_json, Body, ChunkWriter, HttpHandler, HttpServer, Observer,
     ObserverSources, Request, Response,
 };
-pub use trace::{maybe_span, validate_json, Span, SpanId, SpanRecord, SummaryRow, TraceSink};
+pub use trace::{maybe_span, validate_json, Span, SpanId, SummaryRow, TraceSink};
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -865,11 +865,8 @@ pub fn status_json(sources: &ObserverSources, started: Instant) -> String {
             let _ = std::fmt::Write::write_fmt(
                 &mut out,
                 format_args!(
-                    ",\"trace\":{{\"retained\":{},\"dropped\":{},\"wrapped_shards\":{},\
-                     \"streamed\":{},\"stream_errors\":{}}}",
-                    sink.len(),
-                    sink.dropped(),
-                    sink.wrapped_shards(),
+                    ",\"trace\":{{\"recorded\":{},\"streamed\":{},\"stream_errors\":{}}}",
+                    sink.recorded(),
                     sink.streamed(),
                     sink.stream_errors(),
                 ),
@@ -989,11 +986,14 @@ mod tests {
         validate_json(doc).unwrap_or_else(|e| panic!("bad /status JSON {doc:?}: {e}"));
         assert!(doc.contains("\"budget_used\":120"), "{doc}");
         assert!(doc.contains("\"shards_total\":1"), "{doc}");
-        assert!(doc.contains("\"wrapped_shards\":0"), "{doc}");
-        // The bus keeps no events, so it reports only what it published
-        // and streamed.
+        // The bus and the trace sink keep no records, so they report only
+        // what they recorded and streamed.
         assert!(
             doc.contains("\"events\":{\"published\":2,\"streamed\":0,\"stream_errors\":0}"),
+            "{doc}"
+        );
+        assert!(
+            doc.contains("\"trace\":{\"recorded\":1,\"streamed\":0,\"stream_errors\":0}"),
             "{doc}"
         );
 

@@ -1,13 +1,14 @@
-//! Structured tracing: spans, sharded ring buffers, Chrome-trace export,
-//! and self-time summaries.
+//! Structured tracing: spans, a live Chrome-trace stream, and a running
+//! self-time summary.
 //!
 //! Aggregate metrics (the registry in the crate root) answer *how much*;
-//! spans answer *where inside a run*. A [`TraceSink`] collects
-//! [`Span`]s — named, categorized intervals with a parent link, a thread
-//! id, and up to [`MAX_ATTRS`] `u64` key/value attributes — into
-//! thread-sharded ring buffers, and exports them either as Chrome
-//! trace-event JSON (loadable in Perfetto or `chrome://tracing`) or as a
-//! per-span-kind self-time summary table with percentiles.
+//! spans answer *where inside a run*. A [`TraceSink`] takes [`Span`]s —
+//! named, categorized intervals with a parent link, a thread id, and up to
+//! [`MAX_ATTRS`] `u64` key/value attributes — and keeps none of them. As a
+//! span ends, the sink writes it to the attached stream, if there is one,
+//! as a Chrome trace event (loadable in Perfetto or `chrome://tracing`),
+//! and folds it into the summary row of its `category/name`: count, total
+//! time, self time and a [`Histogram`] of durations.
 //!
 //! ## Overhead discipline
 //!
@@ -27,48 +28,47 @@
 //!   `false`): starting a span costs one relaxed atomic load on top of an
 //!   inert span's clock read.
 //! * **Tracing enabled**: a span start reads the clock once; a span end
-//!   reads it again and appends a fixed-size record to the ring buffer of
-//!   the recording thread's shard. Shards are selected by a per-thread id,
-//!   so the shard lock is uncontended except when two live threads hash to
-//!   the same shard; no allocation happens per span (names and attr keys
-//!   are `&'static str`, attrs are a fixed array, and ring slots are
-//!   reused after the first wrap).
+//!   reads it again, formats and writes the span's event when a stream is
+//!   attached, and folds the span into its summary row under the fold
+//!   lock. The stream lock and the fold lock are never held together.
 //!
 //! ## Boundedness
 //!
-//! Memory is capped at `SHARDS × capacity` records. When a ring wraps, the
-//! oldest record in that shard is overwritten and the sink-wide
-//! [`dropped`](TraceSink::dropped) counter increments; both exporters
-//! surface the drop count so a truncated trace is never mistaken for a
-//! complete one.
+//! The sink keeps no spans. The summary holds one row per span kind, each
+//! with a 65-bucket [`Histogram`], plus one pending entry per parent whose
+//! children have recorded before it. Children end before their parents on
+//! every instrumented path (growth evaluations inside `cache_fill`, phases
+//! inside `engine/run`, shards inside `sharded/run`), so a parent's entry
+//! is settled when the parent records. Count, total and self time are
+//! exact over every span. The p50/p95/p99 columns are
+//! [`Histogram::percentile`] estimates: each falls in the same log₂ bucket
+//! as the exact nearest-rank duration, the bound the `/metrics`
+//! histograms document.
 //!
 //! ## Streaming
 //!
-//! The rings bound memory by forgetting the oldest spans — fine for
-//! post-hoc summaries, lossy for long runs. [`TraceSink::stream_to`]
-//! additionally appends every span to a writer *as it completes*, in
-//! Chrome trace-event form, so a multi-hour run's full span history lands
-//! on disk while the rings keep only the recent window. Streamed output
-//! is incremental but still one valid JSON document once
-//! [`TraceSink::finish_stream`] writes the trailer; a process killed
+//! [`TraceSink::stream_to`] appends every span recorded from then on to a
+//! writer as it completes, so the whole span history of a run of any
+//! length lands on disk. The streamed output is one valid JSON document
+//! once [`TraceSink::finish_stream`] writes the trailer; a process killed
 //! mid-stream leaves a truncated-but-greppable event log. Stream write
 //! failures never disturb the run: the first error permanently disables
-//! streaming (counted in [`TraceSink::stream_errors`]) and recording
-//! continues ring-only.
+//! streaming (counted in [`TraceSink::stream_errors`]) and the summary
+//! keeps folding.
 //!
-//! The rings and the stream writer live in the crate-private `ring`
-//! module, whose stream writer the event bus uses too; this file owns
-//! only the span types and the Chrome format: the preamble, the `,\n`
-//! event framing and the `otherData` trailer.
+//! The stream writer lives in the crate-private `stream` module, which the
+//! event bus uses too; this file owns the span types, the Chrome format
+//! (the preamble, the `,\n` event framing and the `otherData` trailer) and
+//! the summary fold.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::escape_json;
-use crate::ring::{thread_id, LiveStream, ShardedRing, SHARDS};
+use crate::stream::{thread_id, LiveStream};
+use crate::{escape_json, Histogram};
 
 /// Maximum number of key/value attributes per span; extra [`Span::attr`]
 /// calls are silently ignored.
@@ -91,45 +91,34 @@ impl SpanId {
     }
 }
 
-/// One completed span, as retained in the ring buffers.
-#[derive(Debug, Clone)]
-pub struct SpanRecord {
-    /// Unique id (sink-scoped, starts at 1).
-    pub id: u64,
+/// One completed span, as handed to the stream and the fold.
+struct SpanRecord {
+    id: u64,
     /// Parent span id, or 0 for roots.
-    pub parent: u64,
-    /// Process-wide small id of the recording thread.
-    pub thread: u64,
-    /// Coarse grouping (`"engine"`, `"prober"`, `"bench"`).
-    pub category: &'static str,
-    /// Span kind within the category (`"cache_fill"`, `"scan"`, …).
-    pub name: &'static str,
-    /// Start, in nanoseconds since the sink's epoch.
-    pub start_ns: u64,
-    /// End, in nanoseconds since the sink's epoch.
-    pub end_ns: u64,
-    /// Key/value attributes; only the first `attr_len` entries are live.
-    pub attrs: [(&'static str, u64); MAX_ATTRS],
-    /// Number of live attributes.
-    pub attr_len: u8,
+    parent: u64,
+    thread: u64,
+    category: &'static str,
+    name: &'static str,
+    /// Nanoseconds since the sink's epoch.
+    start_ns: u64,
+    end_ns: u64,
+    attrs: [(&'static str, u64); MAX_ATTRS],
+    attr_len: u8,
 }
 
 impl SpanRecord {
-    /// The span's duration in nanoseconds.
-    pub fn duration_ns(&self) -> u64 {
+    fn duration_ns(&self) -> u64 {
         self.end_ns.saturating_sub(self.start_ns)
     }
 
-    /// The live attributes.
-    pub fn attrs(&self) -> &[(&'static str, u64)] {
+    fn attrs(&self) -> &[(&'static str, u64)] {
         &self.attrs[..self.attr_len as usize]
     }
 }
 
-/// Appends one span as a Chrome complete (`"ph":"X"`) trace event. Shared
-/// by the batch exporter ([`TraceSink::to_chrome_json`]) and the live
-/// stream so both emit byte-identical events. Timestamps and durations
-/// are microseconds with the nanosecond remainder as three decimals.
+/// Appends one span as a Chrome complete (`"ph":"X"`) trace event.
+/// Timestamps and durations are microseconds with the nanosecond
+/// remainder as three decimals.
 fn chrome_event(span: &SpanRecord, out: &mut String) {
     let _ = write!(
         out,
@@ -153,43 +142,68 @@ fn chrome_event(span: &SpanRecord, out: &mut String) {
     out.push_str("}}");
 }
 
-/// A bounded collector of [`Span`]s. See the module docs for the overhead
-/// and boundedness guarantees.
+/// The running summary: one row per `category/name`, plus the child time
+/// recorded under parents that have not recorded yet.
+#[derive(Debug, Default)]
+struct Fold {
+    rows: HashMap<(&'static str, &'static str), Row>,
+    pending: HashMap<u64, u64>,
+}
+
+/// The exact sums and the duration histogram of one span kind.
+#[derive(Debug, Default)]
+struct Row {
+    count: u64,
+    total_ns: u64,
+    self_ns: u64,
+    durations: Histogram,
+}
+
+impl Fold {
+    /// Folds one span into its row. Its children recorded before it, so
+    /// its pending entry holds all of their time and is settled here; its
+    /// own duration becomes pending time of its parent.
+    fn add(&mut self, span: &SpanRecord) {
+        let duration = span.duration_ns();
+        let children = self.pending.remove(&span.id).unwrap_or(0);
+        if span.parent != 0 {
+            *self.pending.entry(span.parent).or_default() += duration;
+        }
+        let row = self.rows.entry((span.category, span.name)).or_default();
+        row.count += 1;
+        row.total_ns += duration;
+        row.self_ns += duration.saturating_sub(children);
+        row.durations.record(duration);
+    }
+}
+
+/// A collector of [`Span`]s that streams and summarizes them. See the
+/// module docs for the overhead and boundedness guarantees.
 #[derive(Debug)]
 pub struct TraceSink {
     enabled: AtomicBool,
-    ring: ShardedRing<SpanRecord>,
     next_id: AtomicU64,
     epoch: Instant,
     stream: LiveStream,
+    fold: Mutex<Fold>,
 }
 
 impl Default for TraceSink {
     fn default() -> Self {
-        TraceSink::with_capacity(TraceSink::DEFAULT_CAPACITY)
+        TraceSink {
+            enabled: AtomicBool::new(true),
+            next_id: AtomicU64::new(1),
+            epoch: Instant::now(),
+            stream: LiveStream::default(),
+            fold: Mutex::default(),
+        }
     }
 }
 
 impl TraceSink {
-    /// Default ring capacity per shard (total retention:
-    /// `16 × 8192 = 131 072` spans).
-    pub const DEFAULT_CAPACITY: usize = 8192;
-
-    /// A sink with the default capacity.
+    /// An enabled sink with no stream attached.
     pub fn new() -> TraceSink {
         TraceSink::default()
-    }
-
-    /// A sink retaining up to `capacity` spans *per shard* (total:
-    /// `16 × capacity`). A zero capacity is rounded up to 1.
-    pub fn with_capacity(capacity: usize) -> TraceSink {
-        TraceSink {
-            enabled: AtomicBool::new(true),
-            ring: ShardedRing::new(capacity),
-            next_id: AtomicU64::new(1),
-            epoch: Instant::now(),
-            stream: LiveStream::default(),
-        }
     }
 
     /// Convenience: a fresh sink behind an `Arc`, ready to share.
@@ -206,27 +220,6 @@ impl TraceSink {
     /// Whether the sink is currently recording.
     pub fn is_enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Number of spans lost to ring-buffer wrap-around since creation.
-    pub fn dropped(&self) -> u64 {
-        self.ring.dropped()
-    }
-
-    /// Number of shard rings that have wrapped at least once (0 means the
-    /// retained window is complete; up to 16 shards can wrap).
-    pub fn wrapped_shards(&self) -> u64 {
-        self.ring.wrapped_shards()
-    }
-
-    /// Number of spans currently retained.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// `true` if no span has been retained.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Starts a span. The returned guard records itself into the sink when
@@ -278,7 +271,8 @@ impl TraceSink {
     }
 
     /// Streams the span when a stream is attached (formatted before the
-    /// stream lock is taken), then retains it in its thread's ring.
+    /// stream lock is taken), then folds it into the summary under the
+    /// fold lock, once the stream lock is released.
     fn record(&self, record: SpanRecord) {
         if self.stream.is_active() {
             let mut event = String::with_capacity(192);
@@ -286,7 +280,7 @@ impl TraceSink {
             chrome_event(&record, &mut event);
             self.stream.write(event.as_bytes());
         }
-        self.ring.push(record.thread, record);
+        self.fold.lock().expect("trace fold poisoned").add(&record);
     }
 
     /// Attaches a live writer: every span recorded from now on is also
@@ -294,8 +288,8 @@ impl TraceSink {
     /// (Chrome/Perfetto sort by timestamp on load). Writes the document
     /// preamble immediately; call [`finish_stream`](Self::finish_stream)
     /// to close the document. Replaces any previous stream without closing
-    /// it. Spans recorded before this call are *not* replayed — stream
-    /// early, before the rings can wrap.
+    /// it. Spans recorded before this call are not replayed, so attach
+    /// before the run to stream all of them.
     ///
     /// The preamble ends in a metadata event, so every span event is
     /// framed as `,\n` plus the event: no first-event state to track.
@@ -310,20 +304,24 @@ impl TraceSink {
     }
 
     /// Closes the streamed document: writes the `]` terminator plus an
-    /// `otherData` object carrying the streamed/error/ring-drop counters,
+    /// `otherData` object carrying the streamed and error counters,
     /// flushes, and drops the writer. A no-op returning `Ok` when no
     /// stream is active (including after a write error already tore the
     /// stream down).
     pub fn finish_stream(&self) -> std::io::Result<()> {
         self.stream.finish(|| {
             format!(
-                "\n],\"otherData\":{{\"spans_streamed\":{},\"stream_write_errors\":{},\
-                 \"ring_dropped_spans\":{}}}}}\n",
+                "\n],\"otherData\":{{\"spans_streamed\":{},\"stream_write_errors\":{}}}}}\n",
                 self.streamed(),
                 self.stream_errors(),
-                self.dropped()
             )
         })
+    }
+
+    /// Number of spans recorded, streamed or not.
+    pub fn recorded(&self) -> u64 {
+        let fold = self.fold.lock().expect("trace fold poisoned");
+        fold.rows.values().map(|row| row.count).sum()
     }
 
     /// Number of span events successfully written to the stream.
@@ -332,101 +330,47 @@ impl TraceSink {
     }
 
     /// Number of stream write failures. The first failure permanently
-    /// disables streaming (recording continues ring-only), so this is
+    /// disables streaming (the summary keeps folding), so this is
     /// effectively 0 or 1 per [`stream_to`](Self::stream_to) call.
     pub fn stream_errors(&self) -> u64 {
         self.stream.errors()
     }
 
-    /// All retained spans, merged across shards and sorted by start time
-    /// (ties by id). Non-destructive.
-    pub fn snapshot(&self) -> Vec<SpanRecord> {
-        let mut spans = self.ring.snapshot();
-        spans.sort_by_key(|s| (s.start_ns, s.id));
-        spans
-    }
-
-    /// Serializes the retained spans as Chrome trace-event JSON — an object
-    /// with a `traceEvents` array of complete (`"ph":"X"`) events, loadable
-    /// in Perfetto and `chrome://tracing`. Timestamps and durations are
-    /// microseconds with nanosecond precision; attributes (plus the parent
-    /// span id) land in each event's `args`. The top-level `otherData`
-    /// object carries the span and dropped-span counts.
-    pub fn to_chrome_json(&self) -> String {
-        let spans = self.snapshot();
-        let mut out = String::with_capacity(128 + spans.len() * 160);
-        out.push_str("{\"displayTimeUnit\":\"ms\",\"otherData\":{");
-        let _ = write!(
-            out,
-            "\"spans\":{},\"dropped_spans\":{}",
-            spans.len(),
-            self.dropped()
-        );
-        out.push_str("},\"traceEvents\":[");
-        out.push_str(
-            "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\",\
-             \"args\":{\"name\":\"sixgen\"}}",
-        );
-        for span in &spans {
-            out.push(',');
-            chrome_event(span, &mut out);
-        }
-        out.push_str("]}");
-        out
-    }
-
-    /// Per-span-kind aggregation of the retained spans: for every
+    /// Per-span-kind aggregation of every recorded span: for every
     /// `category/name` pair, the span count, total time, self time (total
-    /// minus time attributed to child spans), and exact p50/p95/p99 of the
-    /// span durations. Rows are ordered by descending total time.
+    /// minus the time of the child spans recorded under it before it
+    /// ended), and p50/p95/p99 of the span durations, each estimated from
+    /// a log₂ histogram and falling in the same power-of-two bucket as the
+    /// exact nearest-rank duration. Rows are ordered by descending total
+    /// time.
     ///
     /// Self time saturates at zero: children evaluated on parallel worker
     /// threads can accumulate more time than their parent's wall-clock
     /// duration.
     pub fn summary(&self) -> Vec<SummaryRow> {
-        let spans = self.snapshot();
-        // Child time per parent id.
-        let mut child_ns: HashMap<u64, u64> = HashMap::new();
-        for span in &spans {
-            if span.parent != 0 {
-                *child_ns.entry(span.parent).or_default() += span.duration_ns();
-            }
-        }
-        let mut rows: HashMap<(&'static str, &'static str), SummaryRow> = HashMap::new();
-        let mut durations: HashMap<(&'static str, &'static str), Vec<u64>> = HashMap::new();
-        for span in &spans {
-            let key = (span.category, span.name);
-            let duration = span.duration_ns();
-            let row = rows.entry(key).or_insert_with(|| SummaryRow {
-                key: format!("{}/{}", span.category, span.name),
-                count: 0,
-                total_ns: 0,
-                self_ns: 0,
-                p50_ns: 0,
-                p95_ns: 0,
-                p99_ns: 0,
-            });
-            row.count += 1;
-            row.total_ns += duration;
-            row.self_ns += duration
-                .saturating_sub(child_ns.get(&span.id).copied().unwrap_or(0))
-                .min(duration);
-            durations.entry(key).or_default().push(duration);
-        }
-        for (key, mut values) in durations {
-            values.sort_unstable();
-            let row = rows.get_mut(&key).expect("row exists for every key");
-            row.p50_ns = nearest_rank(&values, 0.50);
-            row.p95_ns = nearest_rank(&values, 0.95);
-            row.p99_ns = nearest_rank(&values, 0.99);
-        }
-        let mut rows: Vec<SummaryRow> = rows.into_values().collect();
+        let fold = self.fold.lock().expect("trace fold poisoned");
+        let mut rows: Vec<SummaryRow> = fold
+            .rows
+            .iter()
+            .map(|(&(category, name), row)| {
+                let percentile = |q| row.durations.percentile(q).unwrap_or(0);
+                SummaryRow {
+                    key: format!("{category}/{name}"),
+                    count: row.count,
+                    total_ns: row.total_ns,
+                    self_ns: row.self_ns,
+                    p50_ns: percentile(0.50),
+                    p95_ns: percentile(0.95),
+                    p99_ns: percentile(0.99),
+                }
+            })
+            .collect();
+        drop(fold);
         rows.sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.key.cmp(&b.key)));
         rows
     }
 
-    /// Renders [`summary`](Self::summary) as a fixed-width text table,
-    /// trailed by the dropped-span count when non-zero.
+    /// Renders [`summary`](Self::summary) as a fixed-width text table.
     pub fn render_summary(&self) -> String {
         let rows = self.summary();
         let mut out = String::new();
@@ -448,14 +392,6 @@ impl TraceSink {
                 format_ns(row.p99_ns),
             );
         }
-        let dropped = self.dropped();
-        if dropped > 0 {
-            let wrapped = self.wrapped_shards();
-            let _ = writeln!(
-                out,
-                "({dropped} spans dropped to ring-buffer wrap across {wrapped} of {SHARDS} shard rings)"
-            );
-        }
         out
     }
 }
@@ -471,18 +407,12 @@ pub struct SummaryRow {
     pub total_ns: u64,
     /// Total minus child-span time (saturating), nanoseconds.
     pub self_ns: u64,
-    /// Median span duration (nearest rank), nanoseconds.
+    /// Median span duration (log₂-bucket estimate), nanoseconds.
     pub p50_ns: u64,
-    /// 95th-percentile span duration, nanoseconds.
+    /// 95th-percentile span duration (estimate), nanoseconds.
     pub p95_ns: u64,
-    /// 99th-percentile span duration, nanoseconds.
+    /// 99th-percentile span duration (estimate), nanoseconds.
     pub p99_ns: u64,
-}
-
-/// Nearest-rank percentile of a sorted, non-empty slice.
-fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
 }
 
 /// Human-scale duration: `123ns`, `45.6µs`, `7.89ms`, `1.23s`.
@@ -728,239 +658,6 @@ mod tests {
     use super::*;
     use std::sync::Mutex;
 
-    #[test]
-    fn spans_record_nesting_and_attrs() {
-        let sink = TraceSink::new();
-        {
-            let mut root = sink.span("engine", "run", SpanId::NONE);
-            root.attr("seeds", 42);
-            {
-                let mut child = sink.span("engine", "cache_fill", root.id());
-                child.attr("clusters", 7);
-            }
-        }
-        let spans = sink.snapshot();
-        assert_eq!(spans.len(), 2);
-        let root = spans.iter().find(|s| s.name == "run").expect("root span");
-        let child = spans.iter().find(|s| s.name == "cache_fill").expect("child");
-        assert_eq!(root.parent, 0);
-        assert_eq!(child.parent, root.id);
-        assert_eq!(root.attrs(), &[("seeds", 42)]);
-        assert_eq!(child.attrs(), &[("clusters", 7)]);
-        assert!(child.start_ns >= root.start_ns);
-        assert!(child.end_ns <= root.end_ns);
-    }
-
-    #[test]
-    fn disabled_sink_records_nothing() {
-        let sink = TraceSink::new();
-        sink.set_enabled(false);
-        {
-            let mut span = sink.span("engine", "run", SpanId::NONE);
-            span.attr("ignored", 1);
-            assert!(span.id().is_none());
-        }
-        assert!(sink.is_empty());
-        assert_eq!(sink.dropped(), 0);
-        sink.set_enabled(true);
-        drop(sink.span("engine", "run", SpanId::NONE));
-        assert_eq!(sink.len(), 1);
-    }
-
-    #[test]
-    fn inert_span_is_free_standing() {
-        let mut span = Span::inert();
-        span.attr("x", 1);
-        assert!(span.id().is_none());
-        drop(span); // must not panic or record anywhere
-        assert_eq!(maybe_span(None, "a", "b", SpanId::NONE).id(), SpanId::NONE);
-    }
-
-    #[test]
-    fn end_returns_the_recorded_duration() {
-        let sink = TraceSink::new();
-        let span = sink.span("engine", "select", SpanId::NONE);
-        std::thread::sleep(Duration::from_millis(1));
-        let elapsed = span.end();
-        let spans = sink.snapshot();
-        assert_eq!(spans.len(), 1, "end records once and the drop adds nothing");
-        assert_eq!(u128::from(spans[0].duration_ns()), elapsed.as_nanos());
-        // Inert and disabled spans record nothing but still time.
-        let inert = maybe_span(None, "engine", "select", SpanId::NONE);
-        std::thread::sleep(Duration::from_millis(1));
-        assert!(inert.end() >= Duration::from_millis(1));
-        sink.set_enabled(false);
-        let disabled = sink.span("engine", "select", SpanId::NONE);
-        std::thread::sleep(Duration::from_millis(1));
-        assert!(disabled.end() >= Duration::from_millis(1));
-        assert_eq!(sink.len(), 1);
-    }
-
-    #[test]
-    fn a_reserved_span_records_from_its_given_start() {
-        let sink = TraceSink::new();
-        let started = Instant::now();
-        let id = sink.reserve_id();
-        drop(sink.span("engine", "cache_fill", id));
-        let mut root = sink.span_from(id, "engine", "run", SpanId::NONE, started);
-        root.attr("seeds", 3);
-        drop(root);
-        let spans = sink.snapshot();
-        let root = spans.iter().find(|s| s.name == "run").expect("root span");
-        let child = spans
-            .iter()
-            .find(|s| s.name == "cache_fill")
-            .expect("child");
-        assert_eq!(root.id, id.0);
-        assert_eq!(child.parent, root.id);
-        assert_eq!(root.attrs(), &[("seeds", 3)]);
-        assert!(root.start_ns <= child.start_ns && child.end_ns <= root.end_ns);
-        // A disabled sink reserves no id, and a span under none records
-        // nothing.
-        sink.set_enabled(false);
-        let none = sink.reserve_id();
-        assert!(none.is_none());
-        drop(sink.span_from(none, "engine", "run", SpanId::NONE, started));
-        assert_eq!(sink.len(), 2);
-    }
-
-    #[test]
-    fn ring_wrap_drops_oldest_and_counts() {
-        // Single-threaded: all spans land in one shard of capacity 4.
-        let sink = TraceSink::with_capacity(4);
-        let names: [&'static str; 7] = ["s0", "s1", "s2", "s3", "s4", "s5", "s6"];
-        for name in names {
-            drop(sink.span("t", name, SpanId::NONE));
-        }
-        assert_eq!(sink.len(), 4, "capacity bounds retention");
-        assert_eq!(sink.dropped(), 3, "three overwrites counted");
-        let kept: Vec<&str> = sink.snapshot().iter().map(|s| s.name).collect();
-        assert_eq!(kept, vec!["s3", "s4", "s5", "s6"], "oldest dropped first");
-        // The exporters surface the drop count and the wrapped-ring count.
-        assert_eq!(sink.wrapped_shards(), 1, "one shard ring wrapped");
-        assert!(sink.to_chrome_json().contains("\"dropped_spans\":3"));
-        let summary = sink.render_summary();
-        assert!(summary.contains("3 spans dropped"));
-        assert!(summary.contains("1 of 16 shard rings"), "{summary}");
-    }
-
-    #[test]
-    fn wrapped_shards_zero_below_capacity() {
-        let sink = TraceSink::with_capacity(4);
-        for name in ["a", "b", "c", "d"] {
-            drop(sink.span("t", name, SpanId::NONE));
-        }
-        assert_eq!(sink.dropped(), 0);
-        assert_eq!(sink.wrapped_shards(), 0);
-    }
-
-    #[test]
-    fn concurrent_recording_is_lossless_under_capacity() {
-        let sink = TraceSink::with_capacity(10_000);
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                scope.spawn(|| {
-                    for _ in 0..500 {
-                        drop(sink.span("t", "work", SpanId::NONE));
-                    }
-                });
-            }
-        });
-        assert_eq!(sink.len(), 4_000);
-        assert_eq!(sink.dropped(), 0);
-        // Ids are unique.
-        let mut ids: Vec<u64> = sink.snapshot().iter().map(|s| s.id).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), 4_000);
-    }
-
-    #[test]
-    fn chrome_json_round_trips() {
-        let sink = TraceSink::new();
-        {
-            let mut root = sink.span("engine", "run", SpanId::NONE);
-            root.attr("seeds", 10);
-            drop(sink.span("engine", "select", root.id()));
-        }
-        let json = sink.to_chrome_json();
-        validate_json(&json).expect("chrome trace JSON parses");
-        assert!(json.contains("\"traceEvents\":["));
-        assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"cat\":\"engine\""));
-        assert!(json.contains("\"name\":\"run\""));
-        assert!(json.contains("\"seeds\":10"));
-        assert!(json.contains("\"parent\":"));
-        assert!(json.contains("\"process_name\""));
-    }
-
-    #[test]
-    fn empty_sink_exports_valid_json() {
-        let sink = TraceSink::new();
-        let json = sink.to_chrome_json();
-        validate_json(&json).expect("empty trace parses");
-        assert!(json.contains("\"spans\":0"));
-    }
-
-    #[test]
-    fn summary_attributes_self_time_to_parents() {
-        let sink = TraceSink::new();
-        {
-            let root = sink.span("engine", "run", SpanId::NONE);
-            {
-                let _child = sink.span("engine", "cache_fill", root.id());
-                std::thread::sleep(std::time::Duration::from_millis(5));
-            }
-        }
-        let rows = sink.summary();
-        assert_eq!(rows.len(), 2);
-        let run = rows.iter().find(|r| r.key == "engine/run").expect("run row");
-        let fill = rows
-            .iter()
-            .find(|r| r.key == "engine/cache_fill")
-            .expect("fill row");
-        assert_eq!(run.count, 1);
-        assert_eq!(fill.count, 1);
-        // The child's time is excluded from the parent's self time.
-        assert!(run.total_ns >= fill.total_ns);
-        assert!(run.self_ns <= run.total_ns - fill.total_ns.min(run.total_ns) + 1_000_000);
-        assert_eq!(fill.self_ns, fill.total_ns, "leaf self == total");
-        // Percentiles of a single sample are that sample.
-        assert_eq!(fill.p50_ns, fill.p95_ns);
-        assert_eq!(fill.p95_ns, fill.p99_ns);
-        // Rows ordered by total time: the enclosing run comes first.
-        assert_eq!(rows[0].key, "engine/run");
-    }
-
-    #[test]
-    fn summary_percentiles_are_nearest_rank() {
-        let sorted: Vec<u64> = (1..=100).collect();
-        assert_eq!(nearest_rank(&sorted, 0.50), 50);
-        assert_eq!(nearest_rank(&sorted, 0.95), 95);
-        assert_eq!(nearest_rank(&sorted, 0.99), 99);
-        assert_eq!(nearest_rank(&[7], 0.5), 7);
-    }
-
-    #[test]
-    fn validate_json_rejects_malformed() {
-        assert!(validate_json("{}").is_ok());
-        assert!(validate_json("[1,2,{\"a\":null}]").is_ok());
-        assert!(validate_json("{\"a\":1.5e3,\"b\":\"x\\\"y\"}").is_ok());
-        assert!(validate_json("{").is_err());
-        assert!(validate_json("{\"a\":}").is_err());
-        assert!(validate_json("[1,]").is_err());
-        assert!(validate_json("{\"a\":1}trailing").is_err());
-        assert!(validate_json("").is_err());
-    }
-
-    #[test]
-    fn format_ns_scales() {
-        assert_eq!(format_ns(12), "12ns");
-        assert_eq!(format_ns(4_500), "4.5µs");
-        assert_eq!(format_ns(7_890_000), "7.89ms");
-        assert_eq!(format_ns(1_230_000_000), "1.23s");
-    }
-
     /// A `Write` handle whose buffer outlives the sink that owns the
     /// boxed writer, so tests can inspect streamed bytes.
     #[derive(Clone, Default)]
@@ -982,40 +679,351 @@ mod tests {
         }
     }
 
-    #[test]
-    fn streaming_outlives_ring_capacity() {
-        // Single-threaded, one shard of capacity 4 — but the stream keeps
-        // everything the ring forgot.
-        let sink = TraceSink::with_capacity(4);
+    /// A sink streaming into the returned buffer.
+    fn streaming_sink() -> (TraceSink, SharedBuf) {
+        let sink = TraceSink::new();
         let buf = SharedBuf::default();
         sink.stream_to(Box::new(buf.clone())).unwrap();
-        let names: [&'static str; 12] = [
-            "s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9", "s10", "s11",
-        ];
-        for name in names {
-            drop(sink.span("t", name, SpanId::NONE));
+        (sink, buf)
+    }
+
+    /// One span event of a streamed document.
+    struct Event(String);
+
+    impl Event {
+        /// The raw value of `key`, up to the next `,` or `}`.
+        fn raw(&self, key: &str) -> Option<&str> {
+            let rest = self.0.split(&format!("\"{key}\":")).nth(1)?;
+            rest.split([',', '}']).next()
         }
-        assert_eq!(sink.len(), 4, "ring retention unchanged by streaming");
-        assert_eq!(sink.dropped(), 8);
-        assert_eq!(sink.streamed(), 12, "every span streamed");
-        assert_eq!(sink.stream_errors(), 0);
+
+        fn num(&self, key: &str) -> Option<u64> {
+            self.raw(key).map(|raw| raw.parse().expect(key))
+        }
+
+        fn name(&self) -> &str {
+            self.raw("name").unwrap().trim_matches('"')
+        }
+
+        /// A `ts`/`dur` value (µs with three decimals) in nanoseconds.
+        fn ns(&self, key: &str) -> u64 {
+            let (us, frac) = self.raw(key).unwrap().split_once('.').unwrap();
+            us.parse::<u64>().unwrap() * 1_000 + frac.parse::<u64>().unwrap()
+        }
+
+        fn interval(&self) -> (u64, u64) {
+            let start = self.ns("ts");
+            (start, start + self.ns("dur"))
+        }
+    }
+
+    /// Closes the sink's stream, checks the document parses, and returns
+    /// its span events in completion order.
+    fn finish(sink: &TraceSink, buf: &SharedBuf) -> Vec<Event> {
         sink.finish_stream().unwrap();
         let doc = buf.contents();
         validate_json(doc.trim_end()).expect("streamed document parses");
-        for name in names {
-            assert!(doc.contains(&format!("\"name\":\"{name}\"")), "{name} streamed");
+        doc.lines()
+            .filter(|line| line.contains("\"ph\":\"X\""))
+            .map(|line| Event(line.trim_end_matches(',').to_owned()))
+            .collect()
+    }
+
+    /// A synthetic span, for exact fold arithmetic.
+    fn record(id: u64, parent: u64, name: &'static str, duration_ns: u64) -> SpanRecord {
+        SpanRecord {
+            id,
+            parent,
+            thread: 1,
+            category: "t",
+            name,
+            start_ns: 0,
+            end_ns: duration_ns,
+            attrs: [("", 0); MAX_ATTRS],
+            attr_len: 0,
         }
-        assert!(doc.contains("\"spans_streamed\":12"));
-        assert!(doc.contains("\"ring_dropped_spans\":8"));
-        assert!(doc.contains("\"process_name\""));
-        // Batch and stream share the event formatter: a retained span's
-        // event appears byte-identically in both documents.
-        let batch = sink.to_chrome_json();
-        let streamed_line = doc
-            .lines()
-            .find(|l| l.contains("\"name\":\"s11\""))
-            .expect("s11 line");
-        assert!(batch.contains(streamed_line.trim_end_matches(',')));
+    }
+
+    #[test]
+    fn spans_record_nesting_and_attrs() {
+        let (sink, buf) = streaming_sink();
+        {
+            let mut root = sink.span("engine", "run", SpanId::NONE);
+            root.attr("seeds", 42);
+            {
+                let mut child = sink.span("engine", "cache_fill", root.id());
+                child.attr("clusters", 7);
+            }
+        }
+        let events = finish(&sink, &buf);
+        assert_eq!(events.len(), 2);
+        let root = events.iter().find(|e| e.name() == "run").expect("root");
+        let child = events
+            .iter()
+            .find(|e| e.name() == "cache_fill")
+            .expect("child");
+        assert_eq!(root.num("parent"), None);
+        assert_eq!(child.num("parent"), root.num("span_id"));
+        assert_eq!(root.num("seeds"), Some(42));
+        assert_eq!(child.num("clusters"), Some(7));
+        let (start, end) = root.interval();
+        let (c_start, c_end) = child.interval();
+        assert!(start <= c_start && c_end <= end);
+    }
+
+    #[test]
+    fn disabled_sink_records_nothing() {
+        let sink = TraceSink::new();
+        sink.set_enabled(false);
+        {
+            let mut span = sink.span("engine", "run", SpanId::NONE);
+            span.attr("ignored", 1);
+            assert!(span.id().is_none());
+        }
+        assert_eq!(sink.recorded(), 0);
+        assert!(sink.summary().is_empty());
+        sink.set_enabled(true);
+        drop(sink.span("engine", "run", SpanId::NONE));
+        assert_eq!(sink.recorded(), 1);
+    }
+
+    #[test]
+    fn inert_span_is_free_standing() {
+        let mut span = Span::inert();
+        span.attr("x", 1);
+        assert!(span.id().is_none());
+        drop(span); // must not panic or record anywhere
+        assert_eq!(maybe_span(None, "a", "b", SpanId::NONE).id(), SpanId::NONE);
+    }
+
+    #[test]
+    fn end_returns_the_recorded_duration() {
+        let (sink, buf) = streaming_sink();
+        let span = sink.span("engine", "select", SpanId::NONE);
+        std::thread::sleep(Duration::from_millis(1));
+        let elapsed = span.end();
+        // Inert and disabled spans record nothing but still time.
+        let inert = maybe_span(None, "engine", "select", SpanId::NONE);
+        std::thread::sleep(Duration::from_millis(1));
+        assert!(inert.end() >= Duration::from_millis(1));
+        sink.set_enabled(false);
+        let disabled = sink.span("engine", "select", SpanId::NONE);
+        std::thread::sleep(Duration::from_millis(1));
+        assert!(disabled.end() >= Duration::from_millis(1));
+        assert_eq!(sink.recorded(), 1);
+        let events = finish(&sink, &buf);
+        assert_eq!(
+            events.len(),
+            1,
+            "end records once and the drop adds nothing"
+        );
+        assert_eq!(u128::from(events[0].ns("dur")), elapsed.as_nanos());
+        assert_eq!(sink.summary()[0].total_ns, events[0].ns("dur"));
+    }
+
+    #[test]
+    fn a_reserved_span_records_from_its_given_start() {
+        let (sink, buf) = streaming_sink();
+        let started = Instant::now();
+        let id = sink.reserve_id();
+        drop(sink.span("engine", "cache_fill", id));
+        let mut root = sink.span_from(id, "engine", "run", SpanId::NONE, started);
+        root.attr("seeds", 3);
+        drop(root);
+        // A disabled sink reserves no id, and a span under none records
+        // nothing.
+        sink.set_enabled(false);
+        let none = sink.reserve_id();
+        assert!(none.is_none());
+        drop(sink.span_from(none, "engine", "run", SpanId::NONE, started));
+        assert_eq!(sink.recorded(), 2);
+        let events = finish(&sink, &buf);
+        let root = events.iter().find(|e| e.name() == "run").expect("root");
+        let child = events
+            .iter()
+            .find(|e| e.name() == "cache_fill")
+            .expect("child");
+        assert_eq!(root.num("span_id"), Some(id.0));
+        assert_eq!(child.num("parent"), Some(id.0));
+        assert_eq!(root.num("seeds"), Some(3));
+        let (start, end) = root.interval();
+        let (c_start, c_end) = child.interval();
+        assert!(start <= c_start && c_end <= end);
+    }
+
+    #[test]
+    fn concurrent_recording_is_lossless_under_capacity() {
+        let (sink, buf) = streaming_sink();
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                scope.spawn(|| {
+                    for _ in 0..500 {
+                        drop(sink.span("t", "work", SpanId::NONE));
+                    }
+                });
+            }
+        });
+        assert_eq!(sink.recorded(), 4_000);
+        assert_eq!(sink.summary()[0].count, 4_000);
+        // Ids are unique.
+        let mut ids: Vec<u64> = finish(&sink, &buf)
+            .iter()
+            .map(|e| e.num("span_id").unwrap())
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), 4_000);
+    }
+
+    /// The sink keeps no spans, so nothing caps what it streams or folds:
+    /// 20 000 spans from one thread are all in the stream and the summary.
+    #[test]
+    fn every_span_reaches_the_stream_and_the_summary() {
+        let (sink, buf) = streaming_sink();
+        for _ in 0..20_000 {
+            drop(sink.span("engine", "growth_eval", SpanId::NONE));
+        }
+        let rows = sink.summary();
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].count, 20_000);
+        assert_eq!(sink.streamed(), 20_000);
+        assert_eq!(finish(&sink, &buf).len(), 20_000);
+    }
+
+    #[test]
+    fn chrome_json_round_trips() {
+        let (sink, buf) = streaming_sink();
+        {
+            let mut root = sink.span("engine", "run", SpanId::NONE);
+            root.attr("seeds", 10);
+            drop(sink.span("engine", "select", root.id()));
+        }
+        finish(&sink, &buf);
+        let json = buf.contents();
+        assert!(json.contains("\"traceEvents\":["));
+        assert!(json.contains("\"ph\":\"X\""));
+        assert!(json.contains("\"cat\":\"engine\""));
+        assert!(json.contains("\"name\":\"run\""));
+        assert!(json.contains("\"seeds\":10"));
+        assert!(json.contains("\"parent\":"));
+        assert!(json.contains("\"process_name\""));
+        assert!(json.contains("\"spans_streamed\":2,\"stream_write_errors\":0"));
+    }
+
+    #[test]
+    fn empty_sink_exports_valid_json() {
+        let (sink, buf) = streaming_sink();
+        assert!(finish(&sink, &buf).is_empty());
+        assert!(buf.contents().contains("\"spans_streamed\":0"));
+    }
+
+    #[test]
+    fn summary_attributes_self_time_to_parents() {
+        let sink = TraceSink::new();
+        {
+            let root = sink.span("engine", "run", SpanId::NONE);
+            {
+                let _child = sink.span("engine", "cache_fill", root.id());
+                std::thread::sleep(std::time::Duration::from_millis(5));
+            }
+        }
+        let rows = sink.summary();
+        assert_eq!(rows.len(), 2);
+        let run = rows
+            .iter()
+            .find(|r| r.key == "engine/run")
+            .expect("run row");
+        let fill = rows
+            .iter()
+            .find(|r| r.key == "engine/cache_fill")
+            .expect("fill row");
+        assert_eq!(run.count, 1);
+        assert_eq!(fill.count, 1);
+        // The child's time is excluded from the parent's self time.
+        assert!(run.total_ns >= fill.total_ns);
+        assert_eq!(run.self_ns, run.total_ns - fill.total_ns);
+        assert_eq!(fill.self_ns, fill.total_ns, "leaf self == total");
+        // Percentiles of a single sample are that sample.
+        assert_eq!(fill.p50_ns, fill.total_ns);
+        assert_eq!(fill.p50_ns, fill.p95_ns);
+        assert_eq!(fill.p95_ns, fill.p99_ns);
+        // Rows ordered by total time: the enclosing run comes first.
+        assert_eq!(rows[0].key, "engine/run");
+
+        // Exact over a deeper tree: a grandchild's time leaves only its
+        // parent's self time, children saturate a parent they outlast,
+        // and every settled parent leaves the pending map.
+        let sink = TraceSink::new();
+        let mut fold = sink.fold.lock().unwrap();
+        fold.add(&record(4, 2, "leaf", 10));
+        fold.add(&record(2, 1, "mid", 30));
+        fold.add(&record(3, 1, "mid", 50));
+        fold.add(&record(1, 0, "top", 100));
+        fold.add(&record(6, 5, "leaf", 40));
+        fold.add(&record(5, 0, "top", 20));
+        assert!(fold.pending.is_empty(), "{:?}", fold.pending);
+        drop(fold);
+        let self_ns: Vec<(String, u64, u64)> = sink
+            .summary()
+            .into_iter()
+            .map(|r| (r.key, r.total_ns, r.self_ns))
+            .collect();
+        assert_eq!(
+            self_ns,
+            [
+                ("t/top".to_owned(), 120, 20),
+                ("t/mid".to_owned(), 80, 70),
+                ("t/leaf".to_owned(), 50, 50),
+            ]
+        );
+    }
+
+    /// The percentile columns are nearest-rank estimates over log₂
+    /// buckets: each lies in the bucket of the exact nearest-rank value.
+    #[test]
+    fn summary_percentiles_are_nearest_rank() {
+        let bucket = |v: u64| 64 - v.leading_zeros();
+        for (durations, exact) in [
+            ((1..=100).collect::<Vec<u64>>(), [50, 95, 99]),
+            (vec![7], [7, 7, 7]),
+            (
+                (1..=1_000).map(|d| d * 1_000).collect(),
+                [500_000, 950_000, 990_000],
+            ),
+        ] {
+            let sink = TraceSink::new();
+            let mut fold = sink.fold.lock().unwrap();
+            for (id, &duration) in durations.iter().enumerate() {
+                fold.add(&record(id as u64 + 1, 0, "x", duration));
+            }
+            drop(fold);
+            let row = &sink.summary()[0];
+            assert_eq!(row.count, durations.len() as u64);
+            assert_eq!(row.total_ns, durations.iter().sum::<u64>());
+            for (estimate, exact) in [row.p50_ns, row.p95_ns, row.p99_ns].into_iter().zip(exact) {
+                assert_eq!(bucket(estimate), bucket(exact), "{estimate} vs {exact}");
+            }
+        }
+    }
+
+    #[test]
+    fn validate_json_rejects_malformed() {
+        assert!(validate_json("{}").is_ok());
+        assert!(validate_json("[1,2,{\"a\":null}]").is_ok());
+        assert!(validate_json("{\"a\":1.5e3,\"b\":\"x\\\"y\"}").is_ok());
+        assert!(validate_json("{").is_err());
+        assert!(validate_json("{\"a\":}").is_err());
+        assert!(validate_json("[1,]").is_err());
+        assert!(validate_json("{\"a\":1}trailing").is_err());
+        assert!(validate_json("").is_err());
+    }
+
+    #[test]
+    fn format_ns_scales() {
+        assert_eq!(format_ns(12), "12ns");
+        assert_eq!(format_ns(4_500), "4.5µs");
+        assert_eq!(format_ns(7_890_000), "7.89ms");
+        assert_eq!(format_ns(1_230_000_000), "1.23s");
     }
 
     #[test]
@@ -1044,7 +1052,7 @@ mod tests {
     }
 
     #[test]
-    fn stream_write_failure_disables_streaming_without_losing_ring() {
+    fn stream_write_failure_disables_streaming_but_not_the_summary() {
         let sink = TraceSink::new();
         sink.stream_to(Box::new(FlakyWriter { writes_left: 1 }))
             .unwrap();
@@ -1053,16 +1061,15 @@ mod tests {
         }
         assert_eq!(sink.stream_errors(), 1, "first failure counted once");
         assert_eq!(sink.streamed(), 0);
-        assert_eq!(sink.len(), 5, "ring recording unaffected");
+        assert_eq!(sink.recorded(), 5, "the summary folds every span");
+        assert_eq!(sink.summary()[0].count, 5);
         // The stream tore down; finishing is now a clean no-op.
         sink.finish_stream().unwrap();
     }
 
     #[test]
     fn streamed_events_from_many_threads_form_valid_json() {
-        let sink = TraceSink::with_capacity(8);
-        let buf = SharedBuf::default();
-        sink.stream_to(Box::new(buf.clone())).unwrap();
+        let (sink, buf) = streaming_sink();
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
@@ -1073,9 +1080,6 @@ mod tests {
             }
         });
         assert_eq!(sink.streamed(), 200);
-        sink.finish_stream().unwrap();
-        let doc = buf.contents();
-        validate_json(doc.trim_end()).expect("concurrent streamed document parses");
-        assert_eq!(doc.matches("\"ph\":\"X\"").count(), 200);
+        assert_eq!(finish(&sink, &buf).len(), 200);
     }
 }

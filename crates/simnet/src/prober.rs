@@ -752,10 +752,26 @@ mod tests {
         assert_eq!(registry.deterministic_json(), again.deterministic_json());
     }
 
+    /// A stream kept in memory.
+    #[derive(Clone, Default)]
+    struct Capture(Arc<std::sync::Mutex<Vec<u8>>>);
+
+    impl std::io::Write for Capture {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
     #[test]
     fn scan_records_trace_span_with_packet_attrs() {
         let net = internet();
         let sink = TraceSink::shared();
+        let capture = Capture::default();
+        sink.stream_to(Box::new(capture.clone())).unwrap();
         let mut p = prober(
             &net,
             ProbeConfig {
@@ -769,17 +785,15 @@ mod tests {
             .map(|i| NybbleAddr::from_bits(0x2001_0db8u128 << 96 | i as u128))
             .collect();
         let r = p.scan(targets, 80);
-        let spans = sink.snapshot();
-        let span = spans
-            .iter()
-            .find(|s| s.category == "prober" && s.name == "scan")
+        sink.finish_stream().unwrap();
+        let text = String::from_utf8(capture.0.lock().unwrap().clone()).unwrap();
+        let span = text
+            .lines()
+            .find(|line| line.contains("\"cat\":\"prober\",\"name\":\"scan\""))
             .expect("scan span");
-        let attr = |key: &str| {
-            span.attrs()
-                .iter()
-                .find(|(k, _)| *k == key)
-                .map(|&(_, v)| v)
-                .expect("attr present")
+        let attr = |key: &str| -> u64 {
+            let rest = span.split(&format!("\"{key}\":")).nth(1).expect("attr present");
+            rest.split([',', '}']).next().unwrap().parse().unwrap()
         };
         assert_eq!(attr("targets"), 20);
         assert_eq!(attr("probes"), r.probes);

@@ -51,7 +51,7 @@ use std::sync::Arc;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  sixgen generate   --seeds FILE [--budget N] [--mode loose|tight] [--out FILE] [--binary] [--shards N|auto] [--routes FILE] [--rng-seed N] [--time-limit DUR] [--metrics-out FILE] [--metrics-format json|prom] [--trace-out FILE] [--trace-stream FILE] [--trace-summary] [--checkpoint-out FILE] [--checkpoint-every N] [--resume CKPT] [--observe ADDR] [--progress] [--events-out FILE]\n  sixgen analyze    --seeds FILE [--budget N]\n  sixgen split      --seeds FILE --groups K --out-prefix PATH [--rng-seed N]\n  sixgen entropy-ip --seeds FILE [--budget N] [--out FILE] [--rng-seed N]\n  sixgen simulate   [--hosts N] [--budget N] [--loss P] [--bursty] [--rate-limit PPS]\n                    [--retries N] [--backoff DUR] [--retransmit-budget N] [--rate-pps N]\n                    [--rng-seed N] [--time-limit DUR] [--metrics-out FILE] [--metrics-format json|prom]\n                    [--trace-out FILE] [--trace-stream FILE] [--trace-summary]\n                    [--checkpoint-out FILE] [--checkpoint-every N] [--resume CKPT]\n                    [--observe ADDR] [--progress] [--events-out FILE]\n  sixgen serve      ADDR [--checkpoint-dir DIR] [--handler-threads N] [--addr-file FILE]\n\nDUR: seconds, or with ms/s/m/h suffix (e.g. 250ms, 90s, 5m)\n--metrics-out: write engine/prober metrics (JSON by default; a .prom extension\n               or --metrics-format prom selects Prometheus text exposition)\n--trace-out: write a Chrome trace-event JSON (Perfetto / chrome://tracing)\n--trace-stream: additionally stream every span to FILE as it completes\n                (lossless; --trace-out's ring keeps only the newest spans)\n--trace-summary: print a per-span-kind self-time summary table\n--checkpoint-out: snapshot resumable engine state to FILE (atomic rename)\n                  every N rounds (--checkpoint-every, default 1)\n--resume: continue an interrupted run from a checkpoint; the seed set, mode,\n          and RNG seed come from the checkpoint, and --budget (if given)\n          tops up the probe budget; sharded and single-engine checkpoints\n          are told apart by their magic bytes\n--shards: run generation as a sharded fleet over routed prefixes with N\n          scheduler workers (auto = machine parallelism); --budget is the\n          global budget, leased proportionally and recirculated, and the\n          output is byte-identical for any N\n--routes: routed-prefix table for --shards, one \"PREFIX [ASN]\" per line\n          (# comments allowed); seeds outside every routed prefix are\n          dropped; without --routes seeds shard by their /48\n--observe: serve read-only GET /metrics (Prometheus), /status (JSON), and\n           /healthz on ADDR (e.g. 127.0.0.1:9106) for the duration of the\n           run; purely observational — outputs are byte-identical\n--progress: live single-line progress on stderr (budget burn, rounds,\n            shards done, throughput, ETA)\n--events-out: stream every progress event (rounds, leases, parks,\n              barriers, terminations) to FILE as NDJSON\n\nserve: POST /jobs?budget=N&mode=loose|tight&rng_seed=N[&shards=N|auto]\n       [&time_limit=SECONDS][&checkpoint_every=N] with a seed hitlist\n       as the request body starts a job; GET /jobs/ID/targets streams\n       ranked targets (chunked) as rounds commit, ?from=N resumes a cut\n       stream; GET /jobs/ID/status, POST /jobs/ID/cancel; with\n       --checkpoint-dir a restarted server resumes unfinished jobs;\n       --addr-file writes the bound address (for port 0) once listening"
+        "usage:\n  sixgen generate   --seeds FILE [--budget N] [--mode loose|tight] [--out FILE] [--binary] [--shards N|auto] [--routes FILE] [--rng-seed N] [--time-limit DUR] [--metrics-out FILE] [--metrics-format json|prom] [--trace-out FILE] [--trace-summary] [--checkpoint-out FILE] [--checkpoint-every N] [--resume CKPT] [--observe ADDR] [--progress] [--events-out FILE]\n  sixgen analyze    --seeds FILE [--budget N]\n  sixgen split      --seeds FILE --groups K --out-prefix PATH [--rng-seed N]\n  sixgen entropy-ip --seeds FILE [--budget N] [--out FILE] [--rng-seed N]\n  sixgen simulate   [--hosts N] [--budget N] [--loss P] [--bursty] [--rate-limit PPS]\n                    [--retries N] [--backoff DUR] [--retransmit-budget N] [--rate-pps N]\n                    [--rng-seed N] [--time-limit DUR] [--metrics-out FILE] [--metrics-format json|prom]\n                    [--trace-out FILE] [--trace-summary]\n                    [--checkpoint-out FILE] [--checkpoint-every N] [--resume CKPT]\n                    [--observe ADDR] [--progress] [--events-out FILE]\n  sixgen serve      ADDR [--checkpoint-dir DIR] [--handler-threads N] [--addr-file FILE]\n\nDUR: seconds, or with ms/s/m/h suffix (e.g. 250ms, 90s, 5m)\n--metrics-out: write engine/prober metrics (JSON by default; a .prom extension\n               or --metrics-format prom selects Prometheus text exposition)\n--trace-out: stream every span to FILE as it completes, as Chrome trace-event\n             JSON (Perfetto / chrome://tracing)\n--trace-summary: print a per-span-kind self-time summary table of every span\n--checkpoint-out: snapshot resumable engine state to FILE (atomic rename)\n                  every N rounds (--checkpoint-every, default 1)\n--resume: continue an interrupted run from a checkpoint; the seed set, mode,\n          and RNG seed come from the checkpoint, and --budget (if given)\n          tops up the probe budget; sharded and single-engine checkpoints\n          are told apart by their magic bytes\n--shards: run generation as a sharded fleet over routed prefixes with N\n          scheduler workers (auto = machine parallelism); --budget is the\n          global budget, leased proportionally and recirculated, and the\n          output is byte-identical for any N\n--routes: routed-prefix table for --shards, one \"PREFIX [ASN]\" per line\n          (# comments allowed); seeds outside every routed prefix are\n          dropped; without --routes seeds shard by their /48\n--observe: serve read-only GET /metrics (Prometheus), /status (JSON), and\n           /healthz on ADDR (e.g. 127.0.0.1:9106) for the duration of the\n           run; purely observational — outputs are byte-identical\n--progress: live single-line progress on stderr (budget burn, rounds,\n            shards done, throughput, ETA)\n--events-out: stream every progress event (rounds, leases, parks,\n              barriers, terminations) to FILE as NDJSON\n\nserve: POST /jobs?budget=N&mode=loose|tight&rng_seed=N[&shards=N|auto]\n       [&time_limit=SECONDS][&checkpoint_every=N] with a seed hitlist\n       as the request body starts a job; GET /jobs/ID/targets streams\n       ranked targets (chunked) as rounds commit, ?from=N resumes a cut\n       stream; GET /jobs/ID/status, POST /jobs/ID/cancel; with\n       --checkpoint-dir a restarted server resumes unfinished jobs;\n       --addr-file writes the bound address (for port 0) once listening"
     );
     ExitCode::from(2)
 }
@@ -79,7 +79,6 @@ struct Cli {
     metrics_out: Option<PathBuf>,
     metrics_format: Option<MetricsFormat>,
     trace_out: Option<PathBuf>,
-    trace_stream: Option<PathBuf>,
     trace_summary: bool,
     checkpoint_out: Option<PathBuf>,
     checkpoint_every: Option<u64>,
@@ -154,7 +153,6 @@ fn parse(args: &[String]) -> Option<Cli> {
         metrics_out: None,
         metrics_format: None,
         trace_out: None,
-        trace_stream: None,
         trace_summary: false,
         checkpoint_out: None,
         checkpoint_every: None,
@@ -203,7 +201,6 @@ fn parse(args: &[String]) -> Option<Cli> {
                 })
             }
             "--trace-out" => cli.trace_out = Some(PathBuf::from(it.next()?)),
-            "--trace-stream" => cli.trace_stream = Some(PathBuf::from(it.next()?)),
             "--trace-summary" => cli.trace_summary = true,
             "--checkpoint-out" => cli.checkpoint_out = Some(PathBuf::from(it.next()?)),
             "--checkpoint-every" => cli.checkpoint_every = Some(it.next()?.parse().ok()?),
@@ -286,29 +283,28 @@ fn write_metrics(cli: &Cli, registry: &Option<Arc<MetricsRegistry>>) -> Result<(
     Ok(())
 }
 
-/// Writes the `--metrics-out` file and the trace outputs. Both are
-/// attempted, so an unwritable metrics file never leaves the
-/// `--trace-stream` document unclosed; the first error is returned.
+/// Closes the `--trace-out` document and prints the summary, then writes
+/// the `--metrics-out` file, so an unwritable metrics file never leaves
+/// the trace document unclosed.
 fn write_observations(
     cli: &Cli,
     metrics: &Option<Arc<MetricsRegistry>>,
     trace: &Option<Arc<TraceSink>>,
 ) -> Result<(), String> {
-    let metrics_written = write_metrics(cli, metrics);
-    let trace_written = write_trace(cli, trace);
-    metrics_written.and(trace_written)
+    finish_trace(cli, trace);
+    write_metrics(cli, metrics)
 }
 
-/// Creates a trace sink when `--trace-out`, `--trace-stream`, or
-/// `--trace-summary` was given. A `--trace-stream` path is opened (and the
-/// document preamble written) immediately, so spans stream from the first
-/// round onward.
+/// Creates a trace sink when `--trace-out` or `--trace-summary` was
+/// given. A `--trace-out` path is created (and the document preamble
+/// written) immediately, so a path that cannot be created fails before
+/// the run, and spans stream from the first round onward.
 fn trace_sink(cli: &Cli) -> Result<Option<Arc<TraceSink>>, String> {
-    if cli.trace_out.is_none() && cli.trace_stream.is_none() && !cli.trace_summary {
+    if cli.trace_out.is_none() && !cli.trace_summary {
         return Ok(None);
     }
     let sink = TraceSink::shared();
-    if let Some(path) = &cli.trace_stream {
+    if let Some(path) = &cli.trace_out {
         let file = std::fs::File::create(path)
             .map_err(|e| format!("cannot create {}: {e}", path.display()))?;
         sink.stream_to(Box::new(std::io::BufWriter::new(file)))
@@ -317,12 +313,12 @@ fn trace_sink(cli: &Cli) -> Result<Option<Arc<TraceSink>>, String> {
     Ok(Some(sink))
 }
 
-/// Writes the Chrome trace and/or prints the summary table, per the flags,
-/// and closes the `--trace-stream` document. A stream that failed only
-/// warns; a `--trace-out` file that cannot be written is an error.
-fn write_trace(cli: &Cli, sink: &Option<Arc<TraceSink>>) -> Result<(), String> {
-    let Some(sink) = sink else { return Ok(()) };
-    if let Some(path) = &cli.trace_stream {
+/// Closes the `--trace-out` document and prints the `--trace-summary`
+/// table. A stream that failed, mid-run or at this final flush, only
+/// warns: tracing a run never costs it its output.
+fn finish_trace(cli: &Cli, sink: &Option<Arc<TraceSink>>) {
+    let Some(sink) = sink else { return };
+    if let Some(path) = &cli.trace_out {
         let finished = sink.finish_stream();
         if finished.is_err() || sink.stream_errors() > 0 {
             // `streamed` counts spans handed to the buffered writer, not
@@ -333,26 +329,15 @@ fn write_trace(cli: &Cli, sink: &Option<Arc<TraceSink>>) -> Result<(), String> {
             );
         } else {
             eprintln!(
-                "trace streamed to {} ({} spans)",
+                "trace written to {} ({} spans)",
                 path.display(),
                 sink.streamed()
             );
         }
     }
-    if let Some(path) = &cli.trace_out {
-        sixgen::obs::write_atomic(path, sink.to_chrome_json().as_bytes())
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        eprintln!(
-            "trace written to {} ({} spans, {} dropped)",
-            path.display(),
-            sink.len(),
-            sink.dropped()
-        );
-    }
     if cli.trace_summary {
         println!("\n{}", sink.render_summary());
     }
-    Ok(())
 }
 
 /// Live observability for one run: the progress-event bus plus whatever
@@ -753,7 +738,7 @@ fn cmd_generate_sharded(cli: &Cli) -> Result<(), String> {
         fleet.stats.budget_used,
         fleet.stats.budget,
     );
-    // Targets first: a metrics or trace file that cannot be written
+    // Targets first: a metrics file that cannot be written
     // still fails the command, but never costs it its targets.
     write_targets(cli, fleet.targets.as_slice())?;
     write_observations(cli, &metrics, &trace)
@@ -797,7 +782,7 @@ fn cmd_generate(cli: &Cli) -> Result<(), String> {
         outcome.clusters.len(),
         outcome.stats.termination,
     );
-    // Targets first: a metrics or trace file that cannot be written
+    // Targets first: a metrics file that cannot be written
     // still fails the command, but never costs it its targets.
     write_targets(cli, outcome.targets.as_slice())?;
     write_observations(cli, &metrics, &trace)

@@ -78,7 +78,7 @@ use std::time::{Duration, Instant};
 use crate::addr::NybbleAddr;
 use crate::core::{
     CancelToken, CheckpointWriter, ClusterMode, Config, EngineCheckpoint, Fleet, Session,
-    ShardSpec, ShardedCheckpoint, SixGen, WorkerPool,
+    ShardSpec, ShardedCheckpoint, SixGen, Termination, WorkerPool,
 };
 use crate::datasets::io::{read_hitlist, read_hitlist_file, write_hitlist};
 use crate::obs::{
@@ -219,8 +219,9 @@ pub enum JobState {
     /// The job's engine (or fleet) is running on its own thread.
     Running,
     /// The run finished; `termination` is the engine's stopping-rule
-    /// label (`budget_exhausted`, `cancelled`, ...) or `complete` for a
-    /// sharded fleet.
+    /// label (`budget_exhausted`, `cancelled`, ...). A sharded fleet
+    /// reports `cancelled`, `deadline` when a shard stopped on its time
+    /// limit, or else `complete`.
     Done {
         /// Stopping-rule label.
         termination: String,
@@ -782,10 +783,11 @@ impl JobManager {
                     }
                 }
             })?;
-        self.runners
-            .lock()
-            .expect("runner table poisoned")
-            .push(handle);
+        // A finished runner's handle goes with the next spawn: a thread
+        // that is neither joined nor detached keeps its stack mapped.
+        let mut runners = self.runners.lock().expect("runner table poisoned");
+        runners.retain(|runner| !runner.is_finished());
+        runners.push(handle);
         Ok(())
     }
 
@@ -857,8 +859,9 @@ impl JobManager {
             }
             None => SixGen::new(seeds, config).session(),
         };
-        // Prefill the feed with the resumed run's already-generated
-        // prefix (no-op for fresh sessions).
+        // Prefill the feed with the already-generated prefix: a resumed
+        // run's targets so far, or a fresh session's seeds, which are
+        // visible before round 1's checkpoint exists.
         job.feed.publish_prefix(session.targets_so_far());
         let mut writer = checkpoint_writer(job);
         let outcome = session.run_with(|session| {
@@ -935,18 +938,25 @@ impl JobManager {
         let mut writer = checkpoint_writer(job);
         // Every shard has terminated by the last barrier, whose publish
         // therefore completes the feed.
-        fleet.run_with(|fleet| {
+        let outcome = fleet.run_with(|fleet| {
             // Durability before visibility, as in `run_single`.
             checkpoint_at(writer.as_mut(), fleet.epochs(), || {
                 fleet.checkpoint().to_bytes()
             });
             job.feed.publish_prefix(&fleet.targets_so_far());
         });
-        Ok(if job.cancel.is_cancelled() {
-            "cancelled".to_string()
+        let cut_by_deadline = outcome
+            .shards
+            .iter()
+            .any(|shard| shard.outcome.stats.termination == Termination::Deadline);
+        let termination = if job.cancel.is_cancelled() {
+            "cancelled"
+        } else if cut_by_deadline {
+            "deadline"
         } else {
-            "complete".to_string()
-        })
+            "complete"
+        };
+        Ok(termination.to_string())
     }
 }
 
@@ -1321,6 +1331,32 @@ mod tests {
         };
         assert!(parse_meta(&meta(MAX_JOB_BUDGET)).is_some());
         assert_eq!(parse_meta(&meta(MAX_JOB_BUDGET + 1)), None);
+    }
+
+    /// Starting a runner drops the handles of runners that have finished,
+    /// so a long-lived server does not keep every past job's thread.
+    #[test]
+    fn finished_runners_leave_the_runner_table() {
+        let manager = JobManager::new(None).expect("manager");
+        let seeds: Vec<NybbleAddr> = ["2001:db8::1", "2001:db8::2", "2001:db8::11"]
+            .iter()
+            .map(|s| s.parse().unwrap())
+            .collect();
+        for _ in 0..6 {
+            let spec = JobSpec {
+                budget: 50,
+                ..JobSpec::default()
+            };
+            let job = manager.create(seeds.clone(), spec).expect("job starts");
+            while job.state() == JobState::Running {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        // The last job's runner, plus at most one still exiting when the
+        // last job started.
+        let runners = manager.runners.lock().unwrap().len();
+        assert!(runners <= 2, "{runners} runner handles after 6 sequential jobs");
+        manager.join();
     }
 
     #[test]

@@ -275,7 +275,7 @@ fn generate_trace_out_emits_valid_chrome_json() {
         assert!(body.contains(name), "missing span {name}");
     }
     assert!(body.contains("\"cat\":\"engine\""), "{body}");
-    assert!(body.contains("\"dropped_spans\""), "{body}");
+    assert!(body.contains("\"stream_write_errors\":0"), "{body}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -528,6 +528,8 @@ fn checkpoint_every_requires_checkpoint_out() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `--trace-out` streams every span: the file holds as many span events
+/// as its trailer counts and as the success line reports.
 #[test]
 fn trace_stream_writes_incremental_document() {
     let dir = workdir("trace-stream");
@@ -536,25 +538,57 @@ fn trace_stream_writes_incremental_document() {
     let output = bin()
         .args(["generate", "--seeds"])
         .arg(&seeds)
-        .args(["--budget", "300", "--trace-stream"])
+        .args(["--budget", "300", "--trace-out"])
         .arg(&stream)
         .arg("--out")
         .arg(dir.join("targets.txt"))
         .output()
         .expect("run sixgen");
     assert!(output.status.success());
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(stderr.contains("trace streamed to"), "{stderr}");
     let body = std::fs::read_to_string(&stream).expect("read streamed trace");
     sixgen::obs::validate_json(body.trim_end()).expect("streamed trace parses as JSON");
-    for key in [
-        "\"traceEvents\"",
-        "\"cat\":\"engine\"",
-        "\"spans_streamed\"",
-        "\"stream_write_errors\":0",
-    ] {
+    for key in ["\"traceEvents\"", "\"cat\":\"engine\""] {
         assert!(body.contains(key), "missing {key}");
     }
+    let spans = body.matches("\"ph\":\"X\"").count();
+    assert!(spans > 0, "{body}");
+    assert!(
+        body.contains(&format!(
+            "\"spans_streamed\":{spans},\"stream_write_errors\":0"
+        )),
+        "{body}"
+    );
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    let written = format!("trace written to {} ({spans} spans)", stream.display());
+    assert!(stderr.contains(&written), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A `--trace-out` path that cannot be created fails the command before
+/// the run, as an `--events-out` path does.
+#[test]
+fn uncreatable_trace_file_fails_before_the_run() {
+    let dir = workdir("trace-uncreatable");
+    let seeds = write_seeds(&dir);
+    let out = dir.join("targets.txt");
+    let trace = dir.join("missing").join("run.trace.json");
+    let output = bin()
+        .args(["generate", "--seeds"])
+        .arg(&seeds)
+        .args(["--budget", "100", "--out"])
+        .arg(&out)
+        .arg("--trace-out")
+        .arg(&trace)
+        .output()
+        .expect("run sixgen");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains(&format!("cannot create {}", trace.display())),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("6Gen:"), "the run started: {stderr}");
+    assert!(!out.exists(), "no targets before a failed start");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -653,7 +687,7 @@ fn failing_streams_warn_and_keep_the_targets() {
     let Some((dir, seeds, expected)) = dev_full_fixture("stream-full") else {
         return;
     };
-    for (flag, what) in [("--events-out", "event"), ("--trace-stream", "trace")] {
+    for (flag, what) in [("--events-out", "event"), ("--trace-out", "trace")] {
         let out = dir.join(format!("{}.txt", &flag[2..]));
         let output = generate_into(&seeds, &out, &[flag, "/dev/full"]);
         let stderr = String::from_utf8_lossy(&output.stderr);
@@ -674,23 +708,21 @@ fn failing_streams_warn_and_keep_the_targets() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A metrics or trace file that cannot be written fails the command,
-/// but only after the targets are written, and an unwritable metrics
-/// file still lets a `--trace-stream` document close.
+/// A metrics file that cannot be written fails the command, but only
+/// after the targets are written, and it still lets the `--trace-out`
+/// document close.
 #[test]
-fn unwritable_metrics_or_trace_file_fails_after_the_targets() {
+fn unwritable_metrics_file_fails_after_the_targets() {
     let Some((dir, seeds, expected)) = dev_full_fixture("file-full") else {
         return;
     };
-    for flag in ["--metrics-out", "--trace-out"] {
-        let out = dir.join(format!("{}.txt", &flag[2..]));
-        let output = generate_into(&seeds, &out, &[flag, "/dev/full/file"]);
-        let stderr = String::from_utf8_lossy(&output.stderr);
-        assert_eq!(output.status.code(), Some(1), "{flag}: {stderr}");
-        assert!(stderr.contains("cannot write /dev/full/file"), "{flag}: {stderr}");
-        let targets = std::fs::read_to_string(&out).expect("targets written first");
-        assert_eq!(targets, expected, "{flag}");
-    }
+    let out = dir.join("metrics-out.txt");
+    let output = generate_into(&seeds, &out, &["--metrics-out", "/dev/full/file"]);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("cannot write /dev/full/file"), "{stderr}");
+    let targets = std::fs::read_to_string(&out).expect("targets written first");
+    assert_eq!(targets, expected);
     let out = dir.join("metrics-and-stream.txt");
     let stream = dir.join("stream.json");
     let stream_arg = stream.to_str().expect("utf-8 path");
@@ -700,7 +732,7 @@ fn unwritable_metrics_or_trace_file_fails_after_the_targets() {
         &[
             "--metrics-out",
             "/dev/full/file",
-            "--trace-stream",
+            "--trace-out",
             stream_arg,
         ],
     );
@@ -877,5 +909,11 @@ fn bad_usage_exits_nonzero() {
         .expect("run");
     assert_eq!(status.code(), Some(1));
     let status = bin().args(["frobnicate"]).status().expect("run");
+    assert_eq!(status.code(), Some(2));
+    // `--trace-out` streams; there is no separate stream option.
+    let status = bin()
+        .args(["generate", "--trace-stream", "t.json"])
+        .status()
+        .expect("run");
     assert_eq!(status.code(), Some(2));
 }

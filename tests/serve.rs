@@ -235,6 +235,31 @@ fn sharded_job_stream_matches_sharded_reference() {
     manager.join();
 }
 
+/// A job cut by its time limit reports the deadline, sharded or not.
+#[test]
+fn jobs_past_their_time_limit_report_the_deadline() {
+    let manager = JobManager::new(None).expect("manager");
+    let server = serve("127.0.0.1:0", Arc::clone(&manager), 0).expect("bind");
+    let addr = server.local_addr().to_string();
+    let upload = render(&uneven_fleet_seeds());
+    for (id, query) in [
+        (1, "/jobs?budget=2000&time_limit=0"),
+        (2, "/jobs?budget=2000&time_limit=0&shards=2"),
+    ] {
+        let (status, _, _) = http(&addr, "POST", query, &upload);
+        assert!(status.contains("201"), "{query}: {status}");
+        let status_body = wait_for(&addr, &format!("/jobs/{id}/status"), |t| {
+            t.contains("\"state\":\"done\"")
+        });
+        // The job's own label, not a shard's.
+        assert!(
+            status_body.contains("\"state\":\"done\",\"termination\":\"deadline\""),
+            "{query}: {status_body}"
+        );
+    }
+    manager.join();
+}
+
 #[test]
 fn from_offset_skips_already_streamed_targets() {
     let seeds = ladder_seeds();
