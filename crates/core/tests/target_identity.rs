@@ -13,11 +13,19 @@
 //! ledger learned to charge each range in one pass; that change, and any
 //! later one, must leave them as they are. A deliberate change of the
 //! engine's output updates this table in the same commit.
+//!
+//! Two hosting-shaped sessions, one per cluster mode, each at one thread
+//! and at two, pin the engine's fill and round paths: thousands of
+//! singletons with a seed one nybble away, and thousands of slots tying
+//! for the best growth. Their digests were recorded before the first
+//! fill resolved such singletons without a tree walk and before a round
+//! could refill its grown cluster beside the select.
 
 use sixgen_addr::{NybbleAddr, Prefix};
 use sixgen_core::{
-    run_sharded, ClusterMode, Config, Outcome, RunStats, ShardSpec, SixGen, Termination,
+    run_sharded, ClusterMode, Config, Outcome, RunStats, ShardSpec, SixGen, Step, Termination,
 };
+use std::time::Duration;
 
 const BASE: u128 = 0x2001_0db8 << 96;
 
@@ -280,4 +288,91 @@ fn pinned_runs_reach_their_endings() {
         outcome.shards.iter().any(|s| s.lease > initial + 1),
         "no shard was re-leased budget"
     );
+}
+
+/// Figure 2's hosting-provider shape under `2001:db8::/32`: `count`
+/// seeds with sequential low bytes spread over 48 /64s, and every
+/// seventh seed with a random 16-bit part, from a fixed LCG. Most
+/// singletons have a seed one nybble away; the noisy ones sit three to
+/// five nybbles from the rest. Thousands of singletons tie for the best
+/// growth in the early rounds.
+fn hosting_seeds(count: usize) -> Vec<NybbleAddr> {
+    let mut state: u64 = 0x5EED_0027;
+    (0..count)
+        .map(|i| {
+            let subnet = (i % 48) as u128;
+            let structured = (i / 48 + 1) as u128;
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let noise = if i % 7 == 0 {
+                u128::from(state >> 48)
+            } else {
+                0
+            };
+            NybbleAddr::from_bits(BASE | subnet << 64 | noise << 16 | structured)
+        })
+        .collect()
+}
+
+/// The loose hosting-shaped session: 12 000 seeds, run until its
+/// budget binds. `(counters, targets, clusters)`.
+const HOSTING_LOOSE: (Counters, u64, u64) = (
+    (1_364, 1_363, 10_282, 40_000, Termination::BudgetExhausted),
+    0xeb98d8933fb90902,
+    0x613ee151f853e53a,
+);
+
+#[test]
+fn loose_hosting_session_matches_its_pin_at_one_and_two_threads() {
+    for threads in [1, 2] {
+        let config = Config {
+            threads,
+            ..config(ClusterMode::Loose, 40_000)
+        };
+        let outcome = SixGen::new(hosting_seeds(12_000), config).run();
+        let got = (
+            counters(&outcome.stats),
+            targets_digest(outcome.targets.as_slice()),
+            clusters_digest(&outcome),
+        );
+        assert_eq!(
+            got, HOSTING_LOOSE,
+            "loose hosting session at {threads} threads: targets {:#018x}, clusters {:#018x}",
+            got.1, got.2
+        );
+    }
+}
+
+/// Rounds the tight hosting-shaped session is stepped. A tight session
+/// merges its seeds one round at a time, long before its growths cost
+/// budget, so it is pinned at a round boundary instead of at its end.
+const TIGHT_ROUNDS: u64 = 2_500;
+
+/// The tight hosting-shaped session's boundary state after
+/// [`TIGHT_ROUNDS`] rounds: the digest of its checkpoint, with the two
+/// clock fields zeroed. It covers the run RNG's state, every cluster
+/// and cached growth, the stale list and the targets so far.
+const HOSTING_TIGHT: u64 = 0xfb5e042126ab2304;
+
+#[test]
+fn tight_hosting_session_matches_its_pin_at_one_and_two_threads() {
+    for threads in [1, 2] {
+        let config = Config {
+            threads,
+            ..config(ClusterMode::Tight, 100_000)
+        };
+        let mut session = SixGen::new(hosting_seeds(6_000), config).session();
+        for _ in 0..TIGHT_ROUNDS {
+            assert_eq!(session.step(), Step::Grew);
+        }
+        let mut checkpoint = session.checkpoint();
+        checkpoint.cpu_time = Duration::ZERO;
+        checkpoint.wall_time = Duration::ZERO;
+        let got = fnv1a(&checkpoint.to_bytes());
+        assert_eq!(
+            got, HOSTING_TIGHT,
+            "tight hosting session at {threads} threads: checkpoint {got:#018x}"
+        );
+    }
 }
