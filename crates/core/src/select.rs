@@ -162,6 +162,27 @@ impl SelectTree {
         }
     }
 
+    /// How many slots tie the best ready key: a lower bound, plus one, on
+    /// the draws the next [`select`](Self::select) replays.
+    pub(crate) fn root_ties(&self) -> u64 {
+        self.nodes[1].ties
+    }
+
+    /// The best ready key among slots `0..i`, or `None` when none of them
+    /// is ready: the running best the reference scan carries when it
+    /// reaches slot `i`. One merge per level, O(log N).
+    pub(crate) fn best_before(&self, i: usize) -> Option<SelectKey> {
+        let mut node = self.cap + i;
+        let mut best = NodeEntry::EMPTY;
+        while node > 1 {
+            if node % 2 == 1 {
+                best = self.nodes[node - 1].merge(best);
+            }
+            node /= 2;
+        }
+        (best.ties > 0).then_some(best.key)
+    }
+
     /// Appends the prefix-maximum eras of `node`'s segment (in slot order)
     /// to `eras`, given the eras already accumulated to its left.
     fn eras_rec(&self, node: usize, eras: &mut Vec<(SelectKey, u64)>) {
@@ -392,6 +413,36 @@ mod tests {
         keys[4] = key(3, 16);
         let tree = SelectTree::from_keys(&keys);
         assert_eq!(tree.select(|| panic!("a lone slot never draws")), Some(4));
+    }
+
+    /// `best_before(i)` is the running best of a scan over slots `0..i`.
+    #[test]
+    fn best_before_is_the_prefix_running_best() {
+        let mut gen = 0xB0A7u64;
+        let mut word = move || {
+            gen = crate::engine::splitmix64(gen);
+            gen
+        };
+        for _ in 0..50 {
+            let n = 1 + (word() % 70) as usize;
+            let keys: Vec<SelectKey> = (0..n)
+                .map(|_| match word() % 3 {
+                    0 => SelectKey::NONE,
+                    _ => key(1 + word() % 4, (1 + word() % 3) as u128),
+                })
+                .collect();
+            let tree = SelectTree::from_keys(&keys);
+            for i in 0..n {
+                let expected = keys[..i].iter().filter(|k| k.is_ready()).fold(
+                    None,
+                    |best: Option<SelectKey>, &k| match best {
+                        Some(b) if k.preference(&b) != core::cmp::Ordering::Greater => Some(b),
+                        _ => Some(k),
+                    },
+                );
+                assert_eq!(tree.best_before(i), expected, "slots 0..{i} of {keys:?}");
+            }
+        }
     }
 
     /// Earlier eras that lose to a later one must still burn their draws:

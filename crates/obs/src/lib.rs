@@ -57,7 +57,9 @@ pub use serve::{
     observer_response, status_json, Body, ChunkWriter, HttpHandler, HttpServer, Observer,
     ObserverSources, Request, Response,
 };
-pub use trace::{maybe_span, validate_json, Span, SpanId, SummaryRow, TraceSink};
+pub use trace::{
+    maybe_span, maybe_span_from, validate_json, Span, SpanId, SummaryRow, TraceSink,
+};
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
