@@ -38,11 +38,14 @@
 //!
 //! The version is bumped whenever the byte layout *or the semantics of
 //! any field* change. Decoders accept exactly the versions they know how
-//! to interpret ([`FORMAT_VERSION`] only, today) and reject everything
-//! else: a checkpoint is a promise of byte-identical resumption, and
-//! best-effort migration of half-understood state would silently break
-//! that promise. Version 2 dropped version 1's growth-path byte after
-//! the mode, so a version-1 file is refused with
+//! to interpret ([`FORMAT_VERSION`] for an engine checkpoint,
+//! [`SHARDED_FORMAT_VERSION`] for a fleet envelope) and reject
+//! everything else: a checkpoint is a promise of byte-identical
+//! resumption, and best-effort migration of half-understood state would
+//! silently break that promise. Engine version 2 dropped version 1's
+//! growth-path byte after the mode; envelope version 2 changed what a
+//! shard's `returned` means (see [`ShardCheckpoint::returned`]). So a
+//! version-1 file of either kind is refused with
 //! [`CheckpointError::UnsupportedVersion`]. The config fingerprint (mode,
 //! RNG seed) is enforced at [`Session::resume`] time for the same reason;
 //! the budget is deliberately *not* part of the fingerprint so a resumed
@@ -572,7 +575,7 @@ fn duration_ns(d: Duration) -> u64 {
 pub const SHARDED_MAGIC: [u8; 4] = *b"6GSH";
 
 /// The sharded-envelope format version this build writes and accepts.
-pub const SHARDED_FORMAT_VERSION: u16 = 1;
+pub const SHARDED_FORMAT_VERSION: u16 = 2;
 
 /// One shard's slice of a [`ShardedCheckpoint`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -583,7 +586,11 @@ pub struct ShardCheckpoint {
     /// lease (nonzero only once the shard terminated and the driver
     /// folded its unspent lease into the pool). On resume the driver
     /// subtracts this from any re-derived return, so interrupt/resume
-    /// never double-counts a shard's give-back.
+    /// never double-counts a shard's give-back. Since format version 2 a
+    /// shard stopped by a deadline or a cancel returns nothing: it keeps
+    /// its lease for the run that resumes it. A version-1 envelope may
+    /// record such a shard's lease as returned, so a resumed fleet would
+    /// lease it out twice; it is refused.
     pub returned: u64,
     /// The shard's engine-session snapshot. Its `budget` field is the
     /// shard's current lease; its `rng_seed` must equal
@@ -1006,6 +1013,17 @@ mod tests {
         // A fleet envelope from a future version names the envelope
         // version this build reads, not the engine's.
         let mut envelope = sample_sharded().to_bytes();
+        // A version-1 envelope has this build's layout, but may record an
+        // interrupted shard's lease as returned: it is refused too.
+        let mut v1 = envelope.clone();
+        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+        assert_eq!(
+            ShardedCheckpoint::from_bytes(&resign(v1)),
+            Err(CheckpointError::UnsupportedVersion {
+                found: 1,
+                supported: 2,
+            })
+        );
         envelope[4..6].copy_from_slice(&(SHARDED_FORMAT_VERSION + 1).to_le_bytes());
         let err = ShardedCheckpoint::from_bytes(&resign(envelope)).unwrap_err();
         assert_eq!(

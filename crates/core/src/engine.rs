@@ -1590,6 +1590,12 @@ impl Session {
         Step::Done(termination)
     }
 
+    /// Stops a parked session with `termination`, a deadline or a cancel
+    /// its fleet saw at a barrier, at the round boundary where it parked.
+    pub(crate) fn interrupt(&mut self, termination: Termination) {
+        self.stop(termination);
+    }
+
     /// The progress-event bus, when configured *and* enabled. All
     /// emission sites gate event construction behind this, so a disabled
     /// bus costs one relaxed atomic load and an absent one a branch.

@@ -1,5 +1,5 @@
 //! Sharded engine driver: a [`Fleet`] runs one [`Session`] per routed
-//! prefix on a work-stealing scheduler, against a single global
+//! prefix as jobs on a shared [`WorkerPool`], against a single global
 //! unique-address budget.
 //!
 //! 6Gen's growth loop is embarrassingly parallel across routed
@@ -29,6 +29,13 @@
 //!    once more, running Algorithm 1's exact final-sampling path
 //!    against their final lease.
 //!
+//! A shard stopped by a deadline or a cancel is *interrupted*, not
+//! finished: it keeps its lease, so a resumed fleet gives it back the
+//! same headroom. At the first barrier where a shard is interrupted or
+//! the fleet's cancel token is set, the fleet grants nothing more and
+//! runs no final epoch; it ends its parked shards as interrupted where
+//! they parked, and stops.
+//!
 //! Every lease amount is a pure function of (global budget, seed
 //! shares, termination set), and terminations are themselves
 //! deterministic — so the whole budget trajectory, and with it every
@@ -38,9 +45,10 @@
 //! The merged output concatenates per-shard targets in prefix order.
 //!
 //! Conservation invariant, checked at every barrier: outstanding
-//! leases plus the unassigned pool equal the global budget, so the
-//! fleet can never generate more than `budget` addresses — and when
-//! demand suffices it generates exactly `budget`.
+//! leases plus the unassigned pool equal the global budget, and no
+//! shard uses more than it holds, so the fleet can never generate more
+//! than `budget` addresses — and when demand suffices it generates
+//! exactly `budget`.
 //!
 //! A [`Fleet`] is driven like a [`Session`]. It builds a
 //! [`ShardedCheckpoint`] only when asked for one, so [`run_sharded`]
@@ -49,7 +57,7 @@
 use crate::budget::BudgetPool;
 use crate::checkpoint::{ShardCheckpoint, ShardedCheckpoint};
 use crate::engine::splitmix64_seed;
-use crate::{Config, Outcome, ResumeError, Session, SixGen, Step, WorkerPool};
+use crate::{Config, Outcome, ResumeError, Session, SixGen, Step, Termination, WorkerPool};
 use sixgen_addr::{NybbleAddr, Prefix};
 use sixgen_obs::{maybe_span, SpanId};
 use std::sync::Arc;
@@ -82,7 +90,9 @@ pub struct ShardOutcome {
     pub prefix: Prefix,
     /// The shard's final lease (initial slice plus re-leased grants).
     pub lease: u64,
-    /// Unspent budget the shard returned to the pool.
+    /// Unspent budget the shard returned to the pool: `lease − used`
+    /// for a shard that terminated, 0 for one interrupted by a deadline
+    /// or a cancel, which keeps its lease.
     pub returned: u64,
     /// Busy wall-clock time the shard's task spent on pool workers
     /// (sum over its epoch quanta; excludes parked time).
@@ -100,8 +110,10 @@ pub struct ShardedStats {
     /// an address produced by two shards' overlapping loose ranges
     /// counts once per shard, exactly as two independent runs would).
     pub budget_used: u64,
-    /// Budget left unassigned when the fleet finished (nonzero only
-    /// when every shard terminated without exhausting its lease).
+    /// Budget in the pool, leased to no shard, when the fleet finished:
+    /// what terminated shards returned and no hungry shard was granted.
+    /// Interrupted shards keep their leases, so after a deadline or a
+    /// cancel `budget_used + pool_unassigned` may fall short of `budget`.
     pub pool_unassigned: u64,
     /// Scheduling epochs executed (lease → run → return cycles).
     pub epochs: u64,
@@ -237,7 +249,9 @@ impl Fleet {
     /// next barrier. Every shard resumes as a live session: shards that
     /// had already terminated re-derive their stopping rule in one epoch
     /// (returning nothing new to the pool — the envelope's per-shard
-    /// `returned` records what was already collected).
+    /// `returned` records what was already collected), and shards that
+    /// were interrupted go on from where they stopped, with the lease
+    /// they kept.
     pub fn resume(
         envelope: ShardedCheckpoint,
         config: Config,
@@ -313,9 +327,10 @@ impl Fleet {
     /// `at_barrier` at every epoch barrier — after terminated shards
     /// returned their unspent leases, before the barrier's event — the
     /// hook where callers checkpoint, stream the settled targets, or
-    /// decide to cancel. Every shard has terminated by the last barrier,
-    /// so there [`targets_so_far`](Fleet::targets_so_far) is the merged
-    /// target list.
+    /// decide to cancel. A cancel takes effect at the next barrier.
+    /// Every shard has terminated or been interrupted by the last
+    /// barrier, so there [`targets_so_far`](Fleet::targets_so_far) is
+    /// the merged target list.
     pub fn run_with(mut self, mut at_barrier: impl FnMut(&Fleet)) -> ShardedOutcome {
         let fleet_started = Instant::now();
         let mut last_epoch = false;
@@ -328,20 +343,20 @@ impl Fleet {
                 self.run_epoch();
                 self.epochs += 1;
             }
+            let interruption = self.interruption();
+            if let Some(termination) = interruption {
+                self.interrupt_parked(termination);
+            }
             self.collect_returns();
+            self.debug_assert_ledger();
             at_barrier(&self);
             self.publish_barrier();
-            if last_epoch {
+            if last_epoch || interruption.is_some() {
                 break;
             }
-            let cancelled = self
-                .config
-                .cancel
-                .as_ref()
-                .is_some_and(|t| t.is_cancelled());
-            if cancelled || !self.release_pool() {
-                // No more budget can arrive (or the fleet was cancelled):
-                // one last epoch runs whatever has not terminated.
+            if !self.release_pool() {
+                // No more budget can arrive: one last epoch runs whatever
+                // has not terminated.
                 last_epoch = true;
                 if !self.end_deferral() {
                     break;
@@ -447,22 +462,68 @@ impl Fleet {
         self.cells.sort_by_key(|cell| cell.prefix);
     }
 
+    /// Why the fleet stops at this barrier: [`Termination::Cancelled`]
+    /// once its cancel token is set, else the interruption of a shard
+    /// that stopped on its deadline, or `None` to go on.
+    fn interruption(&self) -> Option<Termination> {
+        if self
+            .config
+            .cancel
+            .as_ref()
+            .is_some_and(|t| t.is_cancelled())
+        {
+            return Some(Termination::Cancelled);
+        }
+        self.cells
+            .iter()
+            .filter_map(|cell| cell.session.termination())
+            .find(|&termination| interrupted(termination))
+    }
+
+    /// Ends every parked shard as interrupted by `termination`, at the
+    /// round boundary where it parked: like a shard its deadline or the
+    /// cancel stopped mid-epoch, it keeps its lease.
+    fn interrupt_parked(&mut self, termination: Termination) {
+        let events = self.config.events.as_deref();
+        for (index, cell) in self.cells.iter_mut().enumerate() {
+            if cell.state == ShardState::Hungry {
+                cell.session.interrupt(termination);
+                cell.done(index, events);
+            }
+        }
+    }
+
     /// Folds terminated shards' unspent leases back into the pool. The
     /// `returned` marker keeps this idempotent across barriers and
     /// across interrupt/resume (a re-derived termination returns only
     /// what was never collected).
     fn collect_returns(&mut self) {
         for cell in &mut self.cells {
-            if cell.state != ShardState::Done {
-                continue;
-            }
-            let unspent = cell.session.budget() - cell.session.budget_used();
-            let delta = unspent.saturating_sub(cell.returned);
+            let delta = cell.unspent().saturating_sub(cell.returned);
             if delta > 0 {
                 self.budget_pool.give_back(delta);
                 cell.returned += delta;
             }
         }
+    }
+
+    /// Checks the lease ledger at a barrier (debug builds only): the
+    /// shards used no more than they hold (`lease − returned`), and what
+    /// they hold plus the pool is the global budget.
+    fn debug_assert_ledger(&self) {
+        let (held, used) = self.cells.iter().fold((0, 0), |(held, used), cell| {
+            let session = &cell.session;
+            (
+                held + session.budget() - cell.returned,
+                used + session.budget_used(),
+            )
+        });
+        debug_assert!(used <= held, "shards used {used} of the {held} they hold");
+        debug_assert_eq!(
+            held + self.budget_pool.unassigned(),
+            self.budget_pool.total(),
+            "budget conservation: held leases plus the pool must equal the global budget"
+        );
     }
 
     /// Publishes a [`Barrier`](sixgen_obs::ProgressEvent::Barrier) event
@@ -521,11 +582,10 @@ impl Fleet {
         granted_any
     }
 
-    /// Readies the last epoch: no more budget can arrive (or the fleet
-    /// was cancelled), so deferred exhaustion goes off and every shard
-    /// that has not terminated runs once more — Algorithm 1's exact
-    /// final-sampling path, or, if cancelled, observing the token.
-    /// Returns whether any shard is left to run.
+    /// Readies the last epoch: no more budget can arrive, so deferred
+    /// exhaustion goes off and every shard that has not terminated runs
+    /// once more, on Algorithm 1's exact final-sampling path. Returns
+    /// whether any shard is left to run.
     fn end_deferral(&mut self) -> bool {
         let mut pending = false;
         for cell in &mut self.cells {
@@ -589,11 +649,6 @@ impl Fleet {
             });
         }
         let budget_pool = &self.budget_pool;
-        debug_assert_eq!(
-            budget_used + budget_pool.unassigned(),
-            budget_pool.total(),
-            "budget conservation: used + unassigned must equal the global budget"
-        );
         let wall_time = fleet_started.elapsed();
         if let Some(trace) = trace {
             let parent = self.config.trace_parent;
@@ -642,8 +697,14 @@ enum ShardState {
     Runnable,
     /// Parked on [`Step::NeedsBudget`], waiting for a grant.
     Hungry,
-    /// The session terminated.
+    /// The session terminated or was interrupted.
     Done,
+}
+
+/// Whether a shard stopped by `termination` was interrupted (by a
+/// deadline or a cancel) rather than finished, and so keeps its lease.
+fn interrupted(termination: Termination) -> bool {
+    matches!(termination, Termination::Deadline | Termination::Cancelled)
 }
 
 impl Cell {
@@ -685,21 +746,43 @@ impl Cell {
                     }
                     break;
                 }
-                Step::Done(termination) => {
-                    self.state = ShardState::Done;
-                    if let Some(bus) = events.filter(|bus| bus.is_enabled()) {
-                        bus.publish(sixgen_obs::ProgressEvent::ShardDone {
-                            shard: index as u64,
-                            termination: termination.label(),
-                            rounds: session.rounds(),
-                            budget_used: session.budget_used(),
-                            unspent: session.budget() - session.budget_used(),
-                        });
-                    }
+                Step::Done(_) => {
+                    self.done(index, events);
                     break;
                 }
             }
         }
         self.busy += quantum.elapsed();
+    }
+
+    /// Marks the shard done, its session having stopped, and publishes
+    /// its [`ShardDone`](sixgen_obs::ProgressEvent::ShardDone) event.
+    fn done(&mut self, index: usize, events: Option<&sixgen_obs::EventBus>) {
+        self.state = ShardState::Done;
+        if let Some(bus) = events.filter(|bus| bus.is_enabled()) {
+            let termination = self
+                .session
+                .termination()
+                .expect("a done shard has stopped");
+            bus.publish(sixgen_obs::ProgressEvent::ShardDone {
+                shard: index as u64,
+                termination: termination.label(),
+                rounds: self.session.rounds(),
+                budget_used: self.session.budget_used(),
+                unspent: self.unspent(),
+            });
+        }
+    }
+
+    /// The part of its lease the shard gives back: `lease − used` once
+    /// it has terminated, 0 while it runs or parks and once it is
+    /// interrupted.
+    fn unspent(&self) -> u64 {
+        match self.session.termination() {
+            Some(termination) if !interrupted(termination) => {
+                self.session.budget() - self.session.budget_used()
+            }
+            _ => 0,
+        }
     }
 }

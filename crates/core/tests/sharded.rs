@@ -3,7 +3,8 @@
 //! target stream, same per-shard growth counts, same deterministic
 //! metrics, same checkpoints (timing fields zeroed) — in both cluster
 //! modes; plus budget-conservation, resume-mid-fleet, and cancellation
-//! behavior checks.
+//! behavior checks, cut fleets resuming to the uninterrupted one among
+//! them.
 
 mod common;
 
@@ -16,6 +17,7 @@ use sixgen_core::{
 use sixgen_obs::{MetricsRegistry, TraceSink};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn config(mode: ClusterMode, budget: u64) -> Config {
     Config {
@@ -339,8 +341,26 @@ fn resume_rejects_mismatched_config() {
     assert!(Fleet::resume(env, shrunk, 1).is_err());
 }
 
+/// The lease ledger of a finished fleet: the shards used no more than
+/// they hold (`lease − returned`), and what they hold plus the pool is
+/// the global budget. Interrupted shards keep their leases, so this is
+/// the conservation law that holds for cut fleets too.
+fn assert_ledger(outcome: &ShardedOutcome, budget: u64, label: &str) {
+    let held: u64 = outcome.shards.iter().map(|s| s.lease - s.returned).sum();
+    assert!(
+        outcome.stats.budget_used <= held,
+        "{label}: shards used {} of the {held} they hold",
+        outcome.stats.budget_used
+    );
+    assert_eq!(
+        held + outcome.stats.pool_unassigned,
+        budget,
+        "{label}: held leases plus the pool"
+    );
+}
+
 /// Cancellation stops the fleet at the next round boundary of every
-/// shard; the partial outcome is well-formed (conservation still holds,
+/// shard; the partial outcome is well-formed (the lease ledger holds,
 /// every shard reports Cancelled or a genuine earlier termination).
 #[test]
 fn cancellation_stops_the_fleet_cleanly() {
@@ -352,11 +372,7 @@ fn cancellation_stops_the_fleet_cleanly() {
     };
     let budget = cfg.budget;
     let outcome = run_sharded(world(5, 20), cfg, 3);
-    assert_eq!(
-        outcome.stats.budget_used + outcome.stats.pool_unassigned,
-        budget,
-        "conservation under cancellation"
-    );
+    assert_ledger(&outcome, budget, "cancellation");
     use sixgen_core::Termination;
     for shard in &outcome.shards {
         assert!(
@@ -369,6 +385,75 @@ fn cancellation_stops_the_fleet_cleanly() {
             "shard {} terminated oddly: {:?}",
             shard.prefix,
             shard.outcome.stats.termination
+        );
+    }
+}
+
+/// A fleet cut by a cancel from its barrier hook, at each barrier in
+/// turn, or by a zero time limit, at 2 and at 4 workers, resumes from its
+/// last envelope to the uninterrupted fleet's targets and per-shard
+/// terminations: an interrupted shard keeps its lease, so the resumed
+/// fleet leases out no address twice.
+#[test]
+fn a_cut_fleet_resumes_to_the_uninterrupted_run() {
+    use sixgen_core::Termination;
+    let cfg = config(ClusterMode::Loose, 1_500);
+    let specs = staggered_world(6);
+    let mut barriers = 0;
+    let reference = Fleet::start(specs.clone(), cfg.clone(), 1).run_with(|_| barriers += 1);
+    assert!(barriers >= 3, "need barriers to cut at");
+    // Runs `cut`, cancelling it at barrier `cancel_at` if given, checks
+    // the cut fleet's ledger and resumes its last envelope, through bytes,
+    // with the uncut config.
+    let cut_and_resume = |cut: Config, cancel_at: Option<usize>, workers: usize, label: &str| {
+        let token = cut.cancel.clone();
+        let mut barrier = 0;
+        let mut last = None;
+        let outcome = Fleet::start(specs.clone(), cut, workers).run_with(|fleet| {
+            if cancel_at == Some(barrier) {
+                token.as_ref().expect("a cancel token").cancel();
+            }
+            barrier += 1;
+            last = Some(fleet.checkpoint().to_bytes());
+        });
+        assert_ledger(&outcome, cfg.budget, label);
+        let envelope = ShardedCheckpoint::from_bytes(&last.expect("a barrier")).expect("decode");
+        let resumed = Fleet::resume(envelope, cfg.clone(), workers)
+            .expect("resume")
+            .run();
+        assert_same_fleet_outputs(&reference, &resumed, label);
+        outcome
+    };
+    for workers in [2, 4] {
+        for at in 0..barriers {
+            let cut = Config {
+                cancel: Some(CancelToken::new()),
+                ..cfg.clone()
+            };
+            let label = format!("workers={workers}, cancelled at barrier {at}");
+            let outcome = cut_and_resume(cut, Some(at), workers, &label);
+            let cancelled = outcome
+                .shards
+                .iter()
+                .any(|s| s.outcome.stats.termination == Termination::Cancelled);
+            assert_eq!(
+                cancelled,
+                at + 1 < barriers,
+                "{label}: a shard was cancelled"
+            );
+        }
+        let cut = Config {
+            time_limit: Some(Duration::ZERO),
+            ..cfg.clone()
+        };
+        let label = format!("workers={workers}, zero time limit");
+        let outcome = cut_and_resume(cut, None, workers, &label);
+        assert!(
+            outcome
+                .shards
+                .iter()
+                .all(|s| s.outcome.stats.termination == Termination::Deadline && s.returned == 0),
+            "{label}: every shard stops on its deadline and keeps its lease"
         );
     }
 }

@@ -153,7 +153,9 @@ pub enum ProgressEvent {
         /// Shards parked hungry at this barrier.
         hungry: u64,
     },
-    /// A shard terminated and returned its unspent lease to the pool.
+    /// A shard stopped: it terminated and returned its unspent lease to
+    /// the pool, or a deadline or a cancel interrupted it, while it ran
+    /// or at the barrier where it was parked, and it kept its lease.
     ShardDone {
         /// Shard index.
         shard: u64,
@@ -163,7 +165,8 @@ pub enum ProgressEvent {
         rounds: u64,
         /// Budget the shard consumed.
         budget_used: u64,
-        /// Lease returned to the pool.
+        /// Lease returned to the pool: `lease − used` for a shard that
+        /// terminated, 0 for an interrupted one.
         unspent: u64,
     },
 }

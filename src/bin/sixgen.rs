@@ -14,8 +14,8 @@
 //! * `generate` — run 6Gen over a seed hitlist (one address per line, `#`
 //!   comments allowed) and write the generated targets. With `--shards`
 //!   the seeds are partitioned by routed prefix (from `--routes`, else
-//!   by /48) and run as a sharded fleet on a work-stealing scheduler;
-//!   the output is byte-identical for any worker count.
+//!   by /48) and run as a sharded fleet on a shared worker pool; the
+//!   output is byte-identical for any worker count.
 //! * `analyze` — print the per-nybble entropy profile and the final 6Gen
 //!   clusters for a seed set: a quick look at a network's address
 //!   structure.
