@@ -13,7 +13,9 @@ mod common;
 
 use common::{num, staggered_world, text, world, Capture};
 use sixgen_addr::NybbleAddr;
-use sixgen_core::{ClusterMode, Config, Fleet, Outcome, Session, ShardedOutcome, SixGen, Step};
+use sixgen_core::{
+    CancelToken, ClusterMode, Config, Fleet, Outcome, Session, ShardedOutcome, SixGen, Step,
+};
 use sixgen_obs::{EventBus, MetricsRegistry};
 use std::sync::Arc;
 
@@ -428,4 +430,92 @@ fn sharded_events_match_per_shard_counters() {
     assert_eq!(progress.budget_total, 2_500, "the budget-total hint is set");
     assert_eq!(progress.budget_used, outcome.stats.budget_used);
     assert_eq!(progress.epochs, outcome.stats.epochs);
+}
+
+/// An event stream that cancels `token` when a shard parks: a cancel
+/// that lands mid-epoch, after that shard parked.
+struct CancelOnPark {
+    token: CancelToken,
+    capture: Capture,
+}
+
+impl std::io::Write for CancelOnPark {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        if String::from_utf8_lossy(buf).contains("\"kind\":\"park\"") {
+            self.token.cancel();
+        }
+        self.capture.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A shard parked when the fleet is cancelled ends as cancelled at the
+/// barrier, where it parked, and publishes its shard-done event: the cut
+/// fleet reports one per shard, the parked shard returning nothing. On
+/// one worker the shards run in prefix order, so shard 0 clusters all
+/// its seeds, shard 1 parks and cancels, and the rest stop at their
+/// first round. The last envelope resumes to the uncut fleet.
+#[test]
+fn a_fleet_cancelled_mid_epoch_ends_its_parked_shards() {
+    let specs = staggered_world(6);
+    let cfg = config(ClusterMode::Loose, 1_500);
+    let reference = Fleet::start(specs.clone(), cfg.clone(), 1).run();
+    let token = CancelToken::new();
+    let bus = EventBus::shared();
+    let capture = Capture::default();
+    bus.stream_to(Box::new(CancelOnPark {
+        token: token.clone(),
+        capture: capture.clone(),
+    }));
+    let mut last = None;
+    let cut = Fleet::start(
+        specs.clone(),
+        Config {
+            cancel: Some(token),
+            events: Some(Arc::clone(&bus)),
+            ..cfg.clone()
+        },
+        1,
+    )
+    .run_with(|fleet| last = Some(fleet.checkpoint()));
+
+    // Shard 1's event comes last, from the barrier.
+    let mut done: Vec<(u64, String, u64)> = streamed_lines(&bus, &capture)
+        .iter()
+        .filter(|line| text(line, "kind") == "shard_done")
+        .map(|line| {
+            let termination = text(line, "termination").to_string();
+            (num(line, "shard"), termination, num(line, "unspent"))
+        })
+        .collect();
+    assert_eq!(done.last().map(|d| d.0), Some(1));
+    done.sort();
+    let labels: Vec<(u64, &str)> = done.iter().map(|(s, t, _)| (*s, t.as_str())).collect();
+    assert_eq!(
+        labels,
+        [
+            (0, "all_seeds_clustered"),
+            (1, "cancelled"),
+            (2, "cancelled"),
+            (3, "cancelled"),
+            (4, "cancelled"),
+            (5, "cancelled"),
+        ]
+    );
+    assert!(done[0].2 > 0, "a finished shard returns its unspent lease");
+    assert!(
+        done[1..].iter().all(|d| d.2 == 0),
+        "interrupted shards keep their leases"
+    );
+    let parked = &cut.shards[1];
+    assert!(parked.outcome.stats.budget_used > 0 && parked.returned == 0);
+    assert_eq!(bus.progress().parked_shards, 0);
+
+    let resumed = Fleet::resume(last.expect("a barrier"), cfg, 2)
+        .expect("resume")
+        .run();
+    assert_eq!(resumed.targets, reference.targets);
 }

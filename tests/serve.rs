@@ -416,9 +416,11 @@ fn manager_restart_resumes_inflight_job_from_checkpoint() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A restarted server resumes a sharded job from its fleet envelope, and
+/// starts a job whose envelope is in format version 1 over from its
+/// seeds, counting the file unreadable.
 #[test]
 fn manager_restart_resumes_sharded_job_from_envelope() {
-    let dir = workdir("resume-fleet");
     let seeds = staggered_fleet_seeds();
     let config = Config {
         budget: 3000,
@@ -451,30 +453,55 @@ fn manager_restart_resumes_sharded_job_from_envelope() {
             .any(|(shard, &slice)| shard.engine.budget > slice)),
         "no shard's lease rose above its initial slice"
     );
-    write_hitlist_file(dir.join("job-1.seeds"), &seeds).expect("persist seeds");
-    CheckpointWriter::new(dir.join("job-1.ckpt"))
-        .write(&envelopes[0].to_bytes())
-        .expect("write envelope");
-    let meta = running_meta(3000, 11, "2", seeds.len());
-    std::fs::write(dir.join("job-1.meta"), meta).expect("write meta");
+    // Restarts a server whose job 1 left `envelope` behind. The job's
+    // stream equals the uninterrupted fleet's whether it resumes or
+    // starts over; returns the count of unreadable checkpoints.
+    let restart = |name: &str, envelope: &[u8]| {
+        let dir = workdir(name);
+        write_hitlist_file(dir.join("job-1.seeds"), &seeds).expect("persist seeds");
+        CheckpointWriter::new(dir.join("job-1.ckpt"))
+            .write(envelope)
+            .expect("write envelope");
+        let meta = running_meta(3000, 11, "2", seeds.len());
+        std::fs::write(dir.join("job-1.meta"), meta).expect("write meta");
 
-    let manager = JobManager::new(Some(dir.clone())).expect("manager");
-    let server = serve("127.0.0.1:0", Arc::clone(&manager), 0).expect("bind");
-    let addr = server.local_addr().to_string();
-    let (status, _, raw) = get(&addr, "/jobs/1/targets");
-    assert!(status.contains("200"), "{status}");
+        let manager = JobManager::new(Some(dir.clone())).expect("manager");
+        let server = serve("127.0.0.1:0", Arc::clone(&manager), 0).expect("bind");
+        let addr = server.local_addr().to_string();
+        let (status, _, raw) = get(&addr, "/jobs/1/targets");
+        assert!(status.contains("200"), "{status}");
+        assert_eq!(
+            dechunk(&raw),
+            expected,
+            "{name}: fleet stream diverges from run_sharded"
+        );
+        wait_for(&addr, "/jobs/1/status", |t| {
+            t.contains("\"state\":\"done\"") && t.contains("\"termination\":\"complete\"")
+        });
+        let unreadable = manager.metrics().counter("serve/checkpoints_unreadable");
+        manager.join();
+        std::fs::remove_dir_all(&dir).ok();
+        unreadable.get()
+    };
+    let envelope = envelopes[0].to_bytes();
     assert_eq!(
-        dechunk(&raw),
-        expected,
-        "resumed fleet stream diverges from run_sharded"
+        restart("resume-fleet", &envelope),
+        0,
+        "the envelope must have been read"
     );
-    wait_for(&addr, "/jobs/1/status", |t| {
-        t.contains("\"state\":\"done\"") && t.contains("\"termination\":\"complete\"")
-    });
-    let unreadable = manager.metrics().counter("serve/checkpoints_unreadable");
-    assert_eq!(unreadable.get(), 0, "the envelope must have been read");
-    manager.join();
-    std::fs::remove_dir_all(&dir).ok();
+    // The same envelope in format version 1, which could record an
+    // interrupted shard's lease as returned, is refused: the job starts
+    // over from its seeds.
+    let mut old = envelope;
+    old.truncate(old.len() - 8);
+    old[4..6].copy_from_slice(&1u16.to_le_bytes());
+    let checksum = fnv1a(&old);
+    old.extend_from_slice(&checksum.to_le_bytes());
+    assert_eq!(
+        restart("resume-fleet-v1", &old),
+        1,
+        "the version-1 envelope must be counted unreadable"
+    );
 }
 
 /// FNV-1a 64, the checksum trailing every checkpoint file.
