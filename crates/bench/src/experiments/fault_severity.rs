@@ -96,12 +96,11 @@ pub fn run(opts: &ExperimentOptions) {
         scale: (opts.scale * 0.25).max(0.05),
         ..WorldConfig::default()
     });
-    let mut targets: Vec<NybbleAddr> = internet
+    let targets: Vec<NybbleAddr> = internet
         .networks()
         .iter()
-        .flat_map(|n| n.active().keys().copied())
+        .flat_map(|n| n.active().iter().map(|&(addr, _)| addr))
         .collect();
-    targets.sort_unstable();
     println!(
         "scanning {} ground-truth hosts per severity (equal retransmit budget {})",
         group_digits(targets.len() as u64),

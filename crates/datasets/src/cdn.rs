@@ -174,13 +174,12 @@ pub fn cdn_internet(cdn: Cdn, host_count: usize, rng_seed: u64) -> Internet {
 /// (without replacement). Panics if the CDN has fewer than `n` hosts.
 pub fn cdn_seed_sample(internet: &Internet, n: usize, rng: &mut StdRng) -> Vec<NybbleAddr> {
     let network = &internet.networks()[0];
-    let mut addrs: Vec<NybbleAddr> = network.active().keys().copied().collect();
+    let mut addrs: Vec<NybbleAddr> = network.active().iter().map(|&(addr, _)| addr).collect();
     assert!(
         addrs.len() >= n,
         "CDN has {} hosts, cannot sample {n}",
         addrs.len()
     );
-    addrs.sort_unstable();
     addrs.shuffle(rng);
     addrs.truncate(n);
     addrs

@@ -245,6 +245,12 @@ impl GilbertElliott {
     /// Advances the two-state chain to virtual time `until`. Sojourn times
     /// are exponential, so stopping mid-sojourn and resampling later is
     /// distribution-preserving (memorylessness).
+    ///
+    /// A sampled dwell that clearly outlasts the remaining gap ends the
+    /// walk without being converted to a `Duration`: packets come far
+    /// closer together than the mean sojourn, so that is almost every
+    /// call, and the exact conversion is only needed for a dwell that ends
+    /// inside the gap or within a few nanoseconds of its end.
     fn advance(&mut self, until: Duration, rng: &mut StdRng) {
         while self.clock < until {
             let mean = if self.in_bad {
@@ -252,8 +258,14 @@ impl GilbertElliott {
             } else {
                 self.config.mean_good
             };
-            let dwell = exp_sample(mean, rng);
-            if self.clock + dwell >= until {
+            let secs = exp_secs(mean, rng);
+            let gap = until - self.clock;
+            if outlasts(secs, gap) {
+                self.clock = until;
+                return;
+            }
+            let dwell = Duration::from_secs_f64(secs);
+            if dwell >= gap {
                 self.clock = until;
                 return;
             }
@@ -263,11 +275,29 @@ impl GilbertElliott {
     }
 }
 
-/// An exponentially distributed duration with the given mean.
-fn exp_sample(mean: Duration, rng: &mut StdRng) -> Duration {
+/// An exponentially distributed number of seconds with the given mean.
+fn exp_secs(mean: Duration, rng: &mut StdRng) -> f64 {
     let u: f64 = rng.gen();
     // 1 - u ∈ (0, 1] keeps ln() finite.
-    Duration::from_secs_f64(-(1.0 - u).ln() * mean.as_secs_f64())
+    -(1.0 - u).ln() * mean.as_secs_f64()
+}
+
+/// Gaps of at least this many nanoseconds (about 52 days) have no
+/// guaranteed-exact `f64` comparison below and take the exact path.
+const FAST_GAP_LIMIT_NS: u128 = 1 << 52;
+
+/// How many nanoseconds a dwell's `f64` estimate must clear the gap by.
+const GUARD_NS: f64 = 4.0;
+
+/// `true` if `Duration::from_secs_f64(secs) >= gap` for certain, decided
+/// without the conversion; `false` means undecided. The conversion lies
+/// within 1 ns of `secs × 10⁹`, whose `f64` product is off by under 1 ns
+/// below 2⁵³ ns. A gap below 2⁵² ns is exact in `f64`, so a product that
+/// clears it by [`GUARD_NS`] leaves the converted dwell at or above the
+/// gap; a product of 2⁵³ ns or more is at least twice such a gap.
+fn outlasts(secs: f64, gap: Duration) -> bool {
+    let gap_ns = gap.as_nanos();
+    gap_ns < FAST_GAP_LIMIT_NS && secs * 1e9 >= gap_ns as f64 + GUARD_NS
 }
 
 impl FaultModel for GilbertElliott {
@@ -553,6 +583,99 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
+    }
+
+    /// `GilbertElliott::advance` with every dwell converted exactly: the
+    /// reference the guard-banded walk must match.
+    fn advance_exact(ge: &mut GilbertElliott, until: Duration, rng: &mut StdRng) {
+        while ge.clock < until {
+            let mean = if ge.in_bad {
+                ge.config.mean_bad
+            } else {
+                ge.config.mean_good
+            };
+            let dwell = Duration::from_secs_f64(exp_secs(mean, rng));
+            if ge.clock + dwell >= until {
+                ge.clock = until;
+                return;
+            }
+            ge.clock += dwell;
+            ge.in_bad = !ge.in_bad;
+        }
+    }
+
+    #[test]
+    fn guard_banded_walk_matches_the_exact_walk() {
+        let ns = Duration::from_nanos;
+        let beyond_exact = ns((1 << 53) + 12_345);
+        // Each case pairs sojourn means with gaps that the walk crosses in
+        // a few transitions: means far above the gaps (the scan's regime),
+        // means near them (dwells land in the guard band often), and
+        // means large enough for gaps with no exact `f64`.
+        let cases: [(Duration, Duration, Vec<Duration>, usize); 4] = [
+            (
+                Duration::from_secs(2),
+                Duration::from_millis(200),
+                vec![
+                    Duration::ZERO,
+                    ns(1),
+                    Duration::from_micros(10),
+                    Duration::from_millis(200),
+                ],
+                400_000,
+            ),
+            (
+                Duration::from_micros(10),
+                Duration::from_micros(7),
+                vec![ns(1), Duration::from_micros(10), Duration::from_micros(3)],
+                300_000,
+            ),
+            (
+                ns(5),
+                ns(3),
+                vec![Duration::ZERO, ns(1), ns(4), ns(9)],
+                400_000,
+            ),
+            (
+                ns(1 << 55),
+                ns(1 << 53),
+                vec![beyond_exact, ns(1 << 54), Duration::from_millis(200), ns(1)],
+                200_000,
+            ),
+        ];
+        let mut draws = 0u64;
+        for (seed, (mean_good, mean_bad, gaps, steps)) in cases.into_iter().enumerate() {
+            let config = GilbertElliottConfig {
+                mean_good,
+                mean_bad,
+                ..GilbertElliottConfig::default()
+            };
+            let mut fast = GilbertElliott::new(config).unwrap();
+            let mut exact = fast.clone();
+            let mut fast_rng = StdRng::seed_from_u64(seed as u64);
+            let mut exact_rng = fast_rng.clone();
+            for step in 0..steps {
+                let gap = gaps[step % gaps.len()];
+                let until = fast.clock + gap;
+                fast.advance(until, &mut fast_rng);
+                advance_exact(&mut exact, until, &mut exact_rng);
+                assert_eq!(
+                    (fast.in_bad, fast.clock),
+                    (exact.in_bad, exact.clock),
+                    "means {mean_good:?}/{mean_bad:?}, step {step}"
+                );
+                draws += u64::from(!gap.is_zero());
+            }
+            assert_eq!(
+                fast_rng.gen::<u64>(),
+                exact_rng.gen::<u64>(),
+                "RNG position"
+            );
+        }
+        assert!(draws >= 1_000_000, "{draws} draws");
+        // Gaps with no exact f64 are never decided early.
+        assert!(!outlasts(1e30, beyond_exact));
+        assert!(outlasts(1e30, Duration::from_millis(200)));
     }
 
     #[test]

@@ -1,5 +1,12 @@
 //! Networks: routed prefixes populated with ground-truth hosts, aliased
 //! regions, and churned (stale) addresses.
+//!
+//! A materialized [`Network`] keeps its active and churned hosts as
+//! address-sorted slices. A single address is looked up by binary search;
+//! a sorted run of addresses, such as a scan's deduplicated target list,
+//! is resolved in one merge with the host slice (`responsive_sorted`).
+//! Seed extraction and sampling read the slices in address order as they
+//! are (DESIGN §7, "The §6 scan: ground truth in one ordered pass").
 
 use crate::scheme::HostScheme;
 use rand::rngs::StdRng;
@@ -171,19 +178,31 @@ impl NetworkSpec {
 #[derive(Debug, Clone)]
 pub struct Network {
     spec: NetworkSpec,
-    /// Active host addresses and their kinds.
-    active: HashMap<NybbleAddr, HostKind>,
-    /// Once-active, now-unresponsive addresses (appear in seed data).
-    churned: HashMap<NybbleAddr, HostKind>,
+    /// Active host addresses and their kinds, sorted by address.
+    active: Vec<(NybbleAddr, HostKind)>,
+    /// Once-active, now-unresponsive addresses (appear in seed data),
+    /// sorted by address.
+    churned: Vec<(NybbleAddr, HostKind)>,
+}
+
+/// A host map's entries sorted by address.
+fn sorted(hosts: HashMap<NybbleAddr, HostKind>) -> Vec<(NybbleAddr, HostKind)> {
+    let mut hosts: Vec<(NybbleAddr, HostKind)> = hosts.into_iter().collect();
+    hosts.sort_unstable_by_key(|&(addr, _)| addr);
+    hosts
 }
 
 impl Network {
     /// Generates the ground truth for a spec. Deterministic for a given
-    /// RNG state.
+    /// RNG state. A host generated twice keeps the kind of its last
+    /// generation; a churned host is skipped if its address was already
+    /// active when it was generated.
     ///
     /// # Panics
     /// Panics if the routed prefix is longer than 64 bits (host schemes
     /// occupy the low 64) or an aliased region lies outside the prefix.
+    /// [`Internet::build`](crate::Internet::build) checks both first and
+    /// returns a [`BuildError`](crate::BuildError) instead.
     pub fn materialize(spec: NetworkSpec, rng: &mut StdRng) -> Network {
         assert!(
             spec.prefix.len() <= 64,
@@ -229,8 +248,8 @@ impl Network {
         }
         Network {
             spec,
-            active,
-            churned,
+            active: sorted(active),
+            churned: sorted(churned),
         }
     }
 
@@ -243,24 +262,50 @@ impl Network {
     /// network serves that port, or it lies in an aliased region serving
     /// that port.
     pub fn is_responsive(&self, addr: NybbleAddr, port: u16) -> bool {
-        if self
-            .spec
+        self.aliased_answer(addr, port)
+            || (self.spec.ports.contains(&port)
+                && self
+                    .active
+                    .binary_search_by_key(&addr, |&(host, _)| host)
+                    .is_ok())
+    }
+
+    /// `true` if `addr` lies in an aliased region serving `port`.
+    fn aliased_answer(&self, addr: NybbleAddr, port: u16) -> bool {
+        self.spec
             .aliased
             .iter()
             .any(|r| r.ports.contains(&port) && r.prefix.contains(addr))
-        {
-            return true;
-        }
-        self.spec.ports.contains(&port) && self.active.contains_key(&addr)
     }
 
-    /// Active hosts with their kinds.
-    pub fn active(&self) -> &HashMap<NybbleAddr, HostKind> {
+    /// Appends [`is_responsive`](Network::is_responsive) of every address
+    /// of `addrs` to `out`, in order, with one merge over the host slice.
+    /// `addrs` must be sorted.
+    pub(crate) fn responsive_sorted(&self, addrs: &[NybbleAddr], port: u16, out: &mut Vec<bool>) {
+        let Some(&first) = addrs.first() else {
+            return;
+        };
+        let serves = self.spec.ports.contains(&port);
+        let mut hosts = &self.active[self.active.partition_point(|&(host, _)| host < first)..];
+        for &addr in addrs {
+            while let [(host, _), rest @ ..] = hosts {
+                if *host >= addr {
+                    break;
+                }
+                hosts = rest;
+            }
+            let active = serves && hosts.first().is_some_and(|&(host, _)| host == addr);
+            out.push(active || self.aliased_answer(addr, port));
+        }
+    }
+
+    /// Active hosts with their kinds, sorted by address.
+    pub fn active(&self) -> &[(NybbleAddr, HostKind)] {
         &self.active
     }
 
-    /// Churned (stale) addresses with their kinds.
-    pub fn churned(&self) -> &HashMap<NybbleAddr, HostKind> {
+    /// Churned (stale) addresses with their kinds, sorted by address.
+    pub fn churned(&self) -> &[(NybbleAddr, HostKind)] {
         &self.churned
     }
 
@@ -390,14 +435,14 @@ mod tests {
         };
         let net = Network::materialize(spec.clone(), &mut rng());
         let prefix = p("2001:db8::/56");
-        for addr in net.active().keys() {
+        for (addr, _) in net.active() {
             assert!(prefix.contains(*addr), "{addr} escaped the /56");
         }
         // At most 3 distinct subnets (the /64s).
         let subnets: HashSet<u128> = net
             .active()
-            .keys()
-            .map(|a| a.bits() >> 64)
+            .iter()
+            .map(|(a, _)| a.bits() >> 64)
             .collect();
         assert!(subnets.len() <= 3);
     }
@@ -443,7 +488,7 @@ mod tests {
         let net = Network::materialize(spec, &mut rng());
         assert_eq!(net.active_count(), 5);
         assert_eq!(net.churned().len(), 5);
-        for addr in net.churned().keys() {
+        for (addr, _) in net.churned() {
             assert!(!net.is_responsive(*addr, 80), "churned {addr} responded");
         }
     }

@@ -9,6 +9,16 @@
 //! and a ZMap-style total retransmit budget, randomized probe order, and a
 //! simulated scan duration derived from the configured packet rate plus
 //! accumulated backoff waits.
+//!
+//! [`Prober::scan`] resolves ground truth once for its whole target list:
+//! the sorted, deduplicated list is merged with the [`Internet`]'s span
+//! table and host slices into one vector of answers, which a clone of the
+//! prober's RNG shuffles beside the list. The vendored Fisher–Yates draws
+//! depend only on the slice length, so both get the same permutation, and
+//! each target is probed with its known answer. Single probes
+//! ([`Prober::probe`], [`Prober::probe_attempts`]) look their address up
+//! on their own. Either way every packet, fault verdict and RNG draw is
+//! the same (DESIGN §7, "The §6 scan: ground truth in one ordered pass").
 
 use crate::faults::{FaultAction, FaultConfigError, FaultModel, ProbeContext, UniformLoss};
 use crate::internet::Internet;
@@ -297,6 +307,13 @@ impl<'a> Prober<'a> {
     /// retry setting).
     pub fn probe_attempts(&mut self, addr: NybbleAddr, port: u16, attempts: u32) -> bool {
         let responsive = self.internet.is_responsive(addr, port);
+        self.send(addr, port, attempts, responsive)
+    }
+
+    /// Sends up to `attempts` probes to `addr`, whose ground truth is
+    /// `responsive`, through the fault stack. Returns whether a response
+    /// was received.
+    fn send(&mut self, addr: NybbleAddr, port: u16, attempts: u32, responsive: bool) -> bool {
         for attempt in 0..attempts.max(1) {
             if attempt > 0 {
                 if let Some(budget) = self.config.retransmit_budget {
@@ -375,19 +392,45 @@ impl<'a> Prober<'a> {
         let mut list: Vec<NybbleAddr> = targets.into_iter().collect();
         list.sort_unstable();
         list.dedup();
+        let mut truth = self.internet.responsive_sorted(&list, port);
+        // The shuffle's draws depend only on the length, so the clone
+        // applies the list's permutation to its answers.
+        truth.shuffle(&mut self.rng.clone());
         list.shuffle(&mut self.rng);
         let before = self.stats.packets_sent;
         let retransmits_before = self.stats.retransmits;
+        let attempts = 1 + self.config.retries as u32;
         let mut hits = Vec::new();
-        for addr in &list {
-            if self.probe(*addr, port) {
-                hits.push(*addr);
+        for (&addr, &responsive) in list.iter().zip(&truth) {
+            if self.send(addr, port, attempts, responsive) {
+                hits.push(addr);
             }
         }
         span.attr("targets", list.len() as u64);
         span.attr("probes", self.stats.packets_sent - before);
         span.attr("retransmits", self.stats.retransmits - retransmits_before);
         span.attr("hits", hits.len() as u64);
+        ScanResult {
+            targets: list.len() as u64,
+            probes: self.stats.packets_sent - before,
+            hits,
+        }
+    }
+
+    /// The scan as a per-target loop: each target looked up on its own
+    /// while it is probed. The reference `scan` must match.
+    #[cfg(test)]
+    fn scan_per_target(&mut self, targets: &[NybbleAddr], port: u16) -> ScanResult {
+        let mut list = targets.to_vec();
+        list.sort_unstable();
+        list.dedup();
+        list.shuffle(&mut self.rng);
+        let before = self.stats.packets_sent;
+        let hits: Vec<NybbleAddr> = list
+            .iter()
+            .copied()
+            .filter(|&addr| self.probe(addr, port))
+            .collect();
         ScanResult {
             targets: list.len() as u64,
             probes: self.stats.packets_sent - before,
@@ -417,7 +460,7 @@ impl<'a> Prober<'a> {
 mod tests {
     use super::*;
     use crate::faults::{AliasedResponder, Blackhole, GilbertElliott, GilbertElliottConfig, IcmpRateLimit};
-    use crate::network::NetworkSpec;
+    use crate::network::{AliasedRegion, HostPopulation, NetworkSpec};
     use crate::scheme::HostScheme;
 
     fn internet() -> Internet {
@@ -917,6 +960,82 @@ mod tests {
             "adaptive {adaptive} < immediate {immediate}"
         );
         assert!(adaptive > 0.8, "adaptive recovered only {adaptive}");
+    }
+
+    #[test]
+    fn scan_matches_the_per_target_loop() {
+        // Nested prefixes, an aliased region and churned hosts, probed
+        // through every kind of fault.
+        let mut rng = StdRng::seed_from_u64(8);
+        let net = Internet::build(
+            vec![
+                NetworkSpec::simple(
+                    "2001:db8::/32".parse().unwrap(),
+                    1,
+                    "Outer",
+                    HostScheme::LowByteSequential,
+                    300,
+                ),
+                NetworkSpec {
+                    aliased: vec![AliasedRegion {
+                        prefix: "2001:db8:0:5::/64".parse().unwrap(),
+                        ports: vec![80],
+                    }],
+                    populations: vec![HostPopulation {
+                        churned: 40,
+                        ..HostPopulation::simple(HostScheme::LowByteRandom { nybbles: 2 }, 120)
+                    }],
+                    ..NetworkSpec::simple(
+                        "2001:db8::/48".parse().unwrap(),
+                        2,
+                        "Inner",
+                        HostScheme::LowByteSequential,
+                        0,
+                    )
+                },
+            ],
+            &mut rng,
+        )
+        .expect("distinct prefixes");
+        let targets: Vec<NybbleAddr> = (0..3_000u128)
+            .map(|i| {
+                NybbleAddr::from_bits(0x2001_0db8u128 << 96 | (i % 7) << 64 | ((i * 37) % 401))
+            })
+            .chain((0..200u128).map(|i| NybbleAddr::from_bits(0x2001_0db9u128 << 96 | i)))
+            .collect();
+        let configs = || {
+            vec![
+                ProbeConfig::default(),
+                ProbeConfig {
+                    loss: 0.2,
+                    retries: 3,
+                    retransmit_budget: Some(500),
+                    ..ProbeConfig::default()
+                },
+                ProbeConfig {
+                    retries: 2,
+                    rate_pps: 400,
+                    faults: bursty_stack(),
+                    retry: RetryPolicy::ExponentialBackoff {
+                        base: Duration::from_millis(30),
+                        cap: Duration::from_secs(1),
+                    },
+                    ..ProbeConfig::default()
+                },
+            ]
+        };
+        for (index, (one, two)) in configs().into_iter().zip(configs()).enumerate() {
+            let mut pass = prober(&net, one);
+            let mut reference = prober(&net, two);
+            for (round, list) in [&targets[..], &targets[..1_000]].into_iter().enumerate() {
+                let got = pass.scan(list.iter().copied(), 80);
+                let want = reference.scan_per_target(list, 80);
+                assert_eq!(got, want, "config {index}, scan {round}");
+                assert!(!got.hits.is_empty());
+                assert_eq!(pass.stats(), reference.stats());
+                assert_eq!(pass.simulated_duration(), reference.simulated_duration());
+            }
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@ use sixgen_simnet::{
     AliasedRegion, HostKind, HostPopulation, HostScheme, Internet, NetworkSpec, ProbeConfig,
     Prober, SeedExtraction, SubnetPlan,
 };
+use std::collections::BTreeSet;
 
 fn arb_scheme() -> impl Strategy<Value = HostScheme> {
     prop_oneof![
@@ -62,6 +63,75 @@ fn build(
     .expect("unique prefixes")
 }
 
+/// A routed-prefix length: the default route, a /64, or one between.
+fn arb_len() -> impl Strategy<Value = u8> {
+    prop_oneof![Just(0u8), Just(64u8), 1u8..64]
+}
+
+/// A world whose routed prefixes nest often: prefix `i` keeps the top
+/// `draws[i].0` bits of `anchor`, draws the rest, and is `draws[i].2`
+/// bits long, so most prefixes cover the anchor or sit beside it.
+fn nested_internet(anchor: u128, draws: &[(u8, u128, u8)], with_default: bool) -> Internet {
+    let mut prefixes: BTreeSet<Prefix> = draws
+        .iter()
+        .map(|&(keep, noise, len)| {
+            let bits = anchor ^ noise.checked_shr(u32::from(keep)).unwrap_or(0);
+            Prefix::new(NybbleAddr::from_bits(bits), len)
+        })
+        .collect();
+    if with_default {
+        prefixes.insert(Prefix::DEFAULT);
+    }
+    let specs = prefixes
+        .into_iter()
+        .enumerate()
+        .map(|(i, prefix)| {
+            NetworkSpec::simple(
+                prefix,
+                64_000 + i as u32,
+                format!("N{i}"),
+                HostScheme::LowByteSequential,
+                3,
+            )
+        })
+        .collect();
+    Internet::build(specs, &mut StdRng::seed_from_u64(anchor as u64)).expect("distinct prefixes")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// The span table names the network the BGP trie routes to, for
+    /// random addresses and at every prefix's edges. The default world
+    /// has no nested prefixes, so only this test reaches the splitting
+    /// path.
+    #[test]
+    fn span_table_matches_the_trie(
+        anchor in any::<u128>(),
+        draws in prop::collection::vec((0u8..=64, any::<u128>(), arb_len()), 1..16),
+        with_default in 0u8..2,
+        probes in prop::collection::vec(any::<u128>(), 0..48),
+    ) {
+        let internet = nested_internet(anchor, &draws, with_default == 1);
+        let mut addrs = probes.clone();
+        addrs.extend(probes.iter().map(|noise| anchor ^ noise >> 64));
+        for route in internet.table().iter() {
+            let first = route.prefix.network().bits();
+            let last = first | u128::MAX.checked_shr(u32::from(route.prefix.len())).unwrap_or(0);
+            addrs.extend([first, last, last.wrapping_add(1), first.wrapping_sub(1)]);
+        }
+        for bits in addrs {
+            let addr = NybbleAddr::from_bits(bits);
+            prop_assert_eq!(
+                internet.network_of(addr).map(|n| n.spec().prefix),
+                internet.table().routed_prefix(addr),
+                "{}",
+                addr
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -76,7 +146,7 @@ proptest! {
         let prefix: Prefix = "2001:db8::/32".parse().unwrap();
         let network = &internet.networks()[0];
         prop_assert!(network.active_count() <= count, "duplicate collapse only shrinks");
-        for addr in network.active().keys() {
+        for (addr, _) in network.active() {
             prop_assert!(prefix.contains(*addr), "{addr} escaped");
             prop_assert!(internet.is_responsive(*addr, 80));
             prop_assert!(!internet.is_responsive(*addr, 443), "wrong port");
@@ -92,7 +162,7 @@ proptest! {
     ) {
         let internet = build(scheme, SubnetPlan::Single(0), count, churned, seed);
         let network = &internet.networks()[0];
-        for addr in network.churned().keys() {
+        for (addr, _) in network.churned() {
             prop_assert!(!internet.is_responsive(*addr, 80));
         }
     }
@@ -112,10 +182,12 @@ proptest! {
             &mut rng,
         );
         let network = &internet.networks()[0];
+        let known = |hosts: &[(NybbleAddr, HostKind)], addr: NybbleAddr| {
+            hosts.binary_search_by_key(&addr, |&(host, _)| host).is_ok()
+        };
         for record in &records {
             prop_assert!(
-                network.active().contains_key(&record.addr)
-                    || network.churned().contains_key(&record.addr)
+                known(network.active(), record.addr) || known(network.churned(), record.addr)
             );
         }
         // Full visibility captures everything.
@@ -141,7 +213,7 @@ proptest! {
         )
         .expect("valid probe config");
         let network = &internet.networks()[0];
-        let mut targets: Vec<NybbleAddr> = network.active().keys().copied().collect();
+        let mut targets: Vec<NybbleAddr> = network.active().iter().map(|&(a, _)| a).collect();
         targets.push("2001:db8::dead:ffff".parse().unwrap());
         let n_targets = {
             let mut t = targets.clone();
@@ -168,7 +240,7 @@ proptest! {
     ) {
         let internet = build(scheme, SubnetPlan::Single(0), count, 0, seed);
         let network = &internet.networks()[0];
-        let hits: Vec<NybbleAddr> = network.active().keys().copied().collect();
+        let hits: Vec<NybbleAddr> = network.active().iter().map(|&(a, _)| a).collect();
         let mut prober = Prober::new(&internet, ProbeConfig::default()).expect("valid probe config");
         let report = detect_aliased(&mut prober, &hits, 80, &DealiasConfig::default());
         prop_assert!(report.aliased.is_empty(), "false alias positives: {:?}", report.aliased);
