@@ -528,6 +528,118 @@ fn checkpoint_every_requires_checkpoint_out() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// A routes file with a /32 holding a nested /48 and /64, a non-aligned
+/// /17 and the /32 announced again by another AS, between comments and
+/// blank lines.
+const ROUTES: &str = "\
+# routed prefixes
+
+2001:db8::/32 64496
+2001:db8:1::/48 64497   # inside the /32
+2001:db8:1:2::/64 64498 # inside the /48
+
+2a00:8000::/17 64499    # not nybble-aligned
+2001:db8::/32 64500
+";
+
+/// Seeds inside every route, on the edges of the nested ones, and five
+/// outside all of them (the last is one past the /17, the first one
+/// before the /32).
+fn routed_seeds() -> String {
+    let mut seeds = Vec::new();
+    for i in 1..=12u32 {
+        seeds.push(format!("2001:db8::{i:x}"));
+        seeds.push(format!("2001:db8:5::{:x}", i * 16));
+    }
+    for i in 1..=6u32 {
+        seeds.push(format!("2001:db8:1::{i:x}"));
+        seeds.push(format!("2001:db8:1:3::{:x}", i * 3));
+        seeds.push(format!("2001:db8:1:2::{i:x}"));
+        seeds.push(format!("2a00:8000::{i:x}"));
+        seeds.push(format!("2a00:ffff:ffff:ffff::{i:x}"));
+    }
+    seeds.extend(
+        [
+            "2001:db8:1:2::",
+            "2001:db8:1:2:ffff:ffff:ffff:ffff",
+            "2001:db8:1:3::",
+            "2001:db8:1:ffff:ffff:ffff:ffff:ffff",
+            "2001:db8:2::",
+            "2a00:ffff:ffff:ffff:ffff:ffff:ffff:ffff",
+            // Outside every route.
+            "2001:db7:ffff:ffff:ffff:ffff:ffff:ffff",
+            "2001:db9::1",
+            "2a00:7fff:ffff:ffff:ffff:ffff:ffff:ffff",
+            "fe80::1",
+            "2a01::",
+        ]
+        .map(String::from),
+    );
+    seeds.join("\n") + "\n"
+}
+
+/// `--routes` shards seeds by longest-prefix match: the unrouted ones
+/// are dropped with a count, any worker count writes the same targets,
+/// and those targets are pinned by digest. A malformed prefix names its
+/// file and line.
+#[test]
+fn routes_shard_by_longest_prefix_match() {
+    let dir = workdir("routes");
+    let seeds = dir.join("seeds.txt");
+    std::fs::write(&seeds, routed_seeds()).expect("write seeds");
+    let routes = dir.join("routes.txt");
+    std::fs::write(&routes, ROUTES).expect("write routes");
+    let run = |shards: &str| {
+        let out = dir.join(format!("targets-{shards}.txt"));
+        let output = bin()
+            .args(["generate", "--seeds"])
+            .arg(&seeds)
+            .args(["--budget", "3000", "--rng-seed", "11", "--shards", shards])
+            .arg("--routes")
+            .arg(&routes)
+            .arg("--out")
+            .arg(&out)
+            .output()
+            .expect("run sixgen");
+        let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
+        assert!(output.status.success(), "{stderr}");
+        assert!(
+            stderr.contains("warning: dropping 5 seed(s) outside every routed prefix"),
+            "{stderr}"
+        );
+        assert!(stderr.contains(" from 4 shards "), "{stderr}");
+        std::fs::read(&out).expect("read targets")
+    };
+    let one = run("1");
+    assert_eq!(one, run("2"), "the worker count changed the targets");
+    assert_eq!(one.iter().filter(|&&b| b == b'\n').count(), 3000);
+    // Recorded before the routing table changed representation.
+    assert_eq!(fnv1a(&one), 0x2beee92e4bcfe38e, "targets digest");
+
+    let bad = dir.join("bad-routes.txt");
+    std::fs::write(&bad, "# header\n2001:db8::/32 1\n2001:db8::/129 2\n").expect("write");
+    let output = bin()
+        .args(["generate", "--seeds"])
+        .arg(&seeds)
+        .args(["--shards", "1", "--routes"])
+        .arg(&bad)
+        .output()
+        .expect("run sixgen");
+    assert_eq!(output.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.contains(&format!("{}:3: bad prefix", bad.display())),
+        "{stderr}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `--trace-out` streams every span: the file holds as many span events
 /// as its trailer counts and as the success line reports.
 #[test]
