@@ -5,19 +5,21 @@
 //! (§6.1), and 6Gen runs independently on each group. This crate provides
 //! that substrate:
 //!
-//! * [`PrefixTable`] — a longest-prefix-match table over IPv6 (a binary
-//!   trie, bit-granular because announced prefixes are not always /64- or
-//!   nybble-aligned, §4.2),
+//! * [`PrefixTable`] — a longest-prefix-match table over IPv6: the address
+//!   space cut into disjoint spans, each naming its longest-matching
+//!   route, and searched by binary search (bit-granular because announced
+//!   prefixes are not always /64- or nybble-aligned, §4.2),
 //! * [`RouteEntry`] — one announcement: prefix → origin ASN,
 //! * [`AsRegistry`] — ASN → AS-name metadata (for Table 1-style reports),
-//! * seed grouping by routed prefix and by origin AS.
+//! * seed grouping by routed prefix.
 //!
 //! ```
 //! use sixgen_routing::PrefixTable;
 //!
-//! let mut table = PrefixTable::new();
-//! table.insert("2001:db8::/32".parse().unwrap(), 64496);
-//! table.insert("2001:db8:f::/48".parse().unwrap(), 64497);
+//! let table = PrefixTable::from_routes([
+//!     ("2001:db8::/32".parse().unwrap(), 64496),
+//!     ("2001:db8:f::/48".parse().unwrap(), 64497),
+//! ]);
 //!
 //! let hit = table.lookup("2001:db8:f::1".parse().unwrap()).unwrap();
 //! assert_eq!(hit.asn, 64497, "longest match wins");
@@ -27,6 +29,7 @@
 #![warn(missing_docs)]
 
 use sixgen_addr::{NybbleAddr, Prefix};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// One route announcement: a prefix originated by an AS.
@@ -40,20 +43,81 @@ pub struct RouteEntry {
 
 /// A longest-prefix-match table over IPv6 prefixes.
 ///
-/// Implemented as a binary (per-bit) trie: inserts and lookups are O(128)
-/// regardless of table size, and arbitrary (non-aligned) prefix lengths are
-/// exact. Inserting the same prefix twice replaces the previous entry.
+/// The routes keep the order of their first announcement. Beside them the
+/// table keeps the whole address space cut into disjoint spans, sorted by
+/// start, each naming the route that is the longest match for every
+/// address in it, or none: a nested prefix splits its parent into pieces.
+/// A lookup is one binary search over the spans, and arbitrary
+/// (non-aligned) prefix lengths are exact. The table is built once, by
+/// [`from_routes`](PrefixTable::from_routes).
 #[derive(Debug, Clone)]
 pub struct PrefixTable {
-    nodes: Vec<TrieNode>,
     entries: Vec<RouteEntry>,
+    /// Span `i` covers `spans[i].start` up to just before
+    /// `spans[i + 1].start` (the last one up to `ffff:…:ffff`), and the
+    /// first starts at `::`.
+    spans: Vec<Span>,
 }
 
-#[derive(Debug, Clone, Default)]
-struct TrieNode {
-    children: [Option<u32>; 2],
-    /// Index into `entries` if a prefix terminates here.
-    entry: Option<u32>,
+/// A run of addresses with one longest-prefix match.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Span {
+    /// The span's first address.
+    start: u128,
+    /// Index into `entries` of the longest match; `None` is unrouted.
+    route: Option<usize>,
+}
+
+/// The last address of `prefix`.
+fn last(prefix: Prefix) -> u128 {
+    prefix.network().bits() | u128::MAX.checked_shr(u32::from(prefix.len())).unwrap_or(0)
+}
+
+/// Cuts the address space into disjoint spans by longest-prefix match
+/// over distinct prefixes. Any two prefixes are disjoint or nested, so a
+/// sweep in address order with a stack of the prefixes enclosing the
+/// sweep point finds every boundary: a prefix opens a span at its first
+/// address, and closing it reopens its innermost enclosing prefix (or
+/// unrouted space) after its last.
+fn cut_spans(entries: &[RouteEntry]) -> Vec<Span> {
+    /// Opens a span at `start`, replacing one opened at the same address.
+    fn open(spans: &mut Vec<Span>, start: u128, route: Option<usize>) {
+        let last = spans.last_mut().expect("the first span is never removed");
+        if last.start == start {
+            last.route = route;
+        } else {
+            spans.push(Span { start, route });
+        }
+    }
+
+    let prefix = |i: usize| entries[i].prefix;
+    let mut order: Vec<usize> = (0..entries.len()).collect();
+    // Prefix order puts a prefix before the prefixes nested in it.
+    order.sort_unstable_by_key(|&i| prefix(i));
+    let mut spans = vec![Span {
+        start: 0,
+        route: None,
+    }];
+    let mut enclosing: Vec<usize> = Vec::new();
+    for i in order {
+        let first = prefix(i).network().bits();
+        while let Some(&top) = enclosing.last() {
+            let end = last(prefix(top));
+            if end >= first {
+                break;
+            }
+            enclosing.pop();
+            open(&mut spans, end + 1, enclosing.last().copied());
+        }
+        open(&mut spans, first, Some(i));
+        enclosing.push(i);
+    }
+    while let Some(top) = enclosing.pop() {
+        if let Some(after) = last(prefix(top)).checked_add(1) {
+            open(&mut spans, after, enclosing.last().copied());
+        }
+    }
+    spans
 }
 
 impl Default for PrefixTable {
@@ -65,19 +129,26 @@ impl Default for PrefixTable {
 impl PrefixTable {
     /// Creates an empty table.
     pub fn new() -> PrefixTable {
-        PrefixTable {
-            nodes: vec![TrieNode::default()],
-            entries: Vec::new(),
-        }
+        PrefixTable::from_routes([])
     }
 
-    /// Builds a table from `(prefix, asn)` pairs.
+    /// Builds a table from `(prefix, asn)` pairs. A prefix announced
+    /// again keeps its first position in [`iter`](PrefixTable::iter) and
+    /// takes the last origin.
     pub fn from_routes(routes: impl IntoIterator<Item = (Prefix, u32)>) -> PrefixTable {
-        let mut table = PrefixTable::new();
+        let mut entries: Vec<RouteEntry> = Vec::new();
+        let mut positions: HashMap<Prefix, usize> = HashMap::new();
         for (prefix, asn) in routes {
-            table.insert(prefix, asn);
+            match positions.entry(prefix) {
+                Entry::Occupied(position) => entries[*position.get()].asn = asn,
+                Entry::Vacant(position) => {
+                    position.insert(entries.len());
+                    entries.push(RouteEntry { prefix, asn });
+                }
+            }
         }
-        table
+        let spans = cut_spans(&entries);
+        PrefixTable { entries, spans }
     }
 
     /// Number of announced prefixes.
@@ -90,59 +161,21 @@ impl PrefixTable {
         self.entries.is_empty()
     }
 
-    /// Bit `depth` of `addr` (0 = most significant).
-    #[inline]
-    fn bit(addr: NybbleAddr, depth: u8) -> usize {
-        ((addr.bits() >> (127 - depth as u32)) & 1) as usize
+    /// The span containing `addr`.
+    fn span_of(&self, addr: NybbleAddr) -> usize {
+        // The first span starts at `::`, so the count is at least one.
+        self.spans.partition_point(|span| span.start <= addr.bits()) - 1
     }
 
-    /// Announces `prefix` with origin `asn`. Returns the previous origin if
-    /// the prefix was already announced.
-    pub fn insert(&mut self, prefix: Prefix, asn: u32) -> Option<u32> {
-        let mut node: u32 = 0;
-        for depth in 0..prefix.len() {
-            let b = Self::bit(prefix.network(), depth);
-            node = match self.nodes[node as usize].children[b] {
-                Some(c) => c,
-                None => {
-                    let id = self.nodes.len() as u32;
-                    self.nodes.push(TrieNode::default());
-                    self.nodes[node as usize].children[b] = Some(id);
-                    id
-                }
-            };
-        }
-        match self.nodes[node as usize].entry {
-            Some(e) => {
-                let old = self.entries[e as usize].asn;
-                self.entries[e as usize].asn = asn;
-                Some(old)
-            }
-            None => {
-                self.nodes[node as usize].entry = Some(self.entries.len() as u32);
-                self.entries.push(RouteEntry { prefix, asn });
-                None
-            }
-        }
+    /// The position in [`iter`](PrefixTable::iter) order of the longest
+    /// match for `addr`.
+    pub fn route_index(&self, addr: NybbleAddr) -> Option<usize> {
+        self.spans[self.span_of(addr)].route
     }
 
     /// Longest-prefix-match lookup.
     pub fn lookup(&self, addr: NybbleAddr) -> Option<&RouteEntry> {
-        let mut node: u32 = 0;
-        let mut best: Option<&RouteEntry> = None;
-        for depth in 0..=128u16 {
-            if let Some(e) = self.nodes[node as usize].entry {
-                best = Some(&self.entries[e as usize]);
-            }
-            if depth == 128 {
-                break;
-            }
-            match self.nodes[node as usize].children[Self::bit(addr, depth as u8)] {
-                Some(c) => node = c,
-                None => break,
-            }
-        }
-        best
+        self.route_index(addr).map(|i| &self.entries[i])
     }
 
     /// The routed prefix containing `addr`, if any.
@@ -150,7 +183,33 @@ impl PrefixTable {
         self.lookup(addr).map(|e| e.prefix)
     }
 
-    /// Iterates all announcements (in insertion order).
+    /// Splits an address-sorted slice into its maximal runs that share
+    /// one longest match, in order, each with that match's
+    /// [`route_index`](PrefixTable::route_index).
+    pub fn runs<'a>(
+        &'a self,
+        mut addrs: &'a [NybbleAddr],
+    ) -> impl Iterator<Item = (Option<usize>, &'a [NybbleAddr])> + 'a {
+        std::iter::from_fn(move || {
+            let route = self.route_index(*addrs.first()?);
+            let mut end = 0;
+            while let Some(&addr) = addrs.get(end) {
+                let span = self.span_of(addr);
+                if self.spans[span].route != route {
+                    break;
+                }
+                end += match self.spans.get(span + 1) {
+                    Some(next) => addrs[end..].partition_point(|a| a.bits() < next.start),
+                    None => addrs.len() - end,
+                };
+            }
+            let (run, rest) = addrs.split_at(end);
+            addrs = rest;
+            Some((route, run))
+        })
+    }
+
+    /// Iterates all announcements (in order of first announcement).
     pub fn iter(&self) -> impl Iterator<Item = &RouteEntry> {
         self.entries.iter()
     }
@@ -194,20 +253,6 @@ impl PrefixTable {
         unrouted.sort_unstable();
         unrouted.dedup();
         (shards, unrouted)
-    }
-
-    /// Groups addresses by origin AS. Unrouted addresses are dropped.
-    pub fn group_by_asn(
-        &self,
-        addrs: impl IntoIterator<Item = NybbleAddr>,
-    ) -> HashMap<u32, Vec<NybbleAddr>> {
-        let mut grouped: HashMap<u32, Vec<NybbleAddr>> = HashMap::new();
-        for addr in addrs {
-            if let Some(entry) = self.lookup(addr) {
-                grouped.entry(entry.asn).or_default().push(addr);
-            }
-        }
-        grouped
     }
 }
 
@@ -329,29 +374,98 @@ mod tests {
         assert!(t.lookup(a("2a01::1")).is_none());
     }
 
+    /// The routes of [`table`] followed by `extra`.
+    fn table_with(extra: &[(&str, u32)]) -> PrefixTable {
+        let t = table();
+        let routes = t.iter().map(|e| (e.prefix, e.asn));
+        PrefixTable::from_routes(routes.chain(extra.iter().map(|&(s, asn)| (p(s), asn))))
+    }
+
     #[test]
     fn default_route() {
-        let mut t = table();
-        t.insert(p("::/0"), 1);
+        let t = table_with(&[("::/0", 1)]);
         assert_eq!(t.lookup(a("fe80::1")).unwrap().asn, 1);
+        assert_eq!(t.lookup(a("::")).unwrap().asn, 1);
+        assert_eq!(t.lookup(a("ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff")).unwrap().asn, 1);
         // More specific still wins.
         assert_eq!(t.lookup(a("2001:db8::1")).unwrap().asn, 64496);
     }
 
     #[test]
     fn reinsert_replaces_and_reports_old() {
-        let mut t = table();
-        assert_eq!(t.insert(p("2001:db8::/32"), 7), Some(64496));
+        let t = table_with(&[("2001:db8::/32", 7)]);
         assert_eq!(t.lookup(a("2001:db8::1")).unwrap().asn, 7);
         assert_eq!(t.len(), 5, "replacement does not add an entry");
+        let first = t.iter().next().unwrap();
+        assert_eq!(
+            (first.prefix, first.asn),
+            (p("2001:db8::/32"), 7),
+            "the prefix keeps its first position"
+        );
     }
 
     #[test]
     fn host_route() {
-        let mut t = PrefixTable::new();
-        t.insert(p("2001:db8::5/128"), 42);
+        let t = PrefixTable::from_routes([(p("2001:db8::5/128"), 42)]);
         assert_eq!(t.lookup(a("2001:db8::5")).unwrap().asn, 42);
+        assert!(t.lookup(a("2001:db8::4")).is_none());
         assert!(t.lookup(a("2001:db8::6")).is_none());
+    }
+
+    /// A default route, a /32, a /48 starting where the /32 does and a /64
+    /// inside the /48: every boundary of the sweep.
+    fn nested() -> PrefixTable {
+        PrefixTable::from_routes([
+            (p("2001:db8:0:1::/64"), 4),
+            (p("::/0"), 1),
+            (p("2001:db8::/32"), 2),
+            (p("2001:db8::/48"), 3),
+        ])
+    }
+
+    #[test]
+    fn nested_prefixes_cut_disjoint_spans() {
+        let t = nested();
+        let asn = |s: &str| t.lookup(a(s)).map(|e| e.asn);
+        assert_eq!(asn("2001:db7:ffff:ffff:ffff:ffff:ffff:ffff"), Some(1));
+        assert_eq!(asn("2001:db8::"), Some(3), "the /48 starts where the /32 does");
+        assert_eq!(asn("2001:db8:0:1::"), Some(4));
+        assert_eq!(asn("2001:db8:0:1:ffff:ffff:ffff:ffff"), Some(4));
+        assert_eq!(asn("2001:db8:0:2::"), Some(3), "the /48 resumes after the /64");
+        assert_eq!(asn("2001:db8:1::"), Some(2), "the /32 resumes after the /48");
+        assert_eq!(asn("2001:db9::"), Some(1));
+        // Spans: starts strictly increase, the first is `::`, and no two
+        // neighbours share a route.
+        assert_eq!(t.spans[0].start, 0);
+        for pair in t.spans.windows(2) {
+            assert!(pair[0].start < pair[1].start);
+            assert_ne!(pair[0].route, pair[1].route);
+        }
+        assert_eq!(t.spans.len(), 6);
+        assert_eq!(t.route_index(a("2001:db8:0:1::9")), Some(0), "iter() order");
+    }
+
+    #[test]
+    fn runs_span_a_nested_route_they_skip() {
+        let t = nested();
+        let addrs: Vec<NybbleAddr> = [
+            "::1",
+            "2001:db8::1",
+            "2001:db8::2",
+            // Inside the /32 on both sides of the /48, none inside it.
+            "2001:db8:ffff::1",
+            "2001:db8:ffff::2",
+            "2001:db9::",
+        ]
+        .iter()
+        .map(|s| a(s))
+        .collect();
+        let runs: Vec<(Option<usize>, usize)> =
+            t.runs(&addrs).map(|(route, run)| (route, run.len())).collect();
+        assert_eq!(runs, vec![(Some(1), 1), (Some(3), 2), (Some(2), 2), (Some(1), 1)]);
+        assert_eq!(t.runs(&[]).count(), 0);
+        let empty = PrefixTable::new();
+        assert_eq!(empty.runs(&addrs).collect::<Vec<_>>(), vec![(None, &addrs[..])]);
     }
 
     #[test]
@@ -367,15 +481,6 @@ mod tests {
         assert_eq!(grouped[&p("2001:db8::/32")].len(), 2);
         assert_eq!(grouped[&p("2001:db8:f::/48")].len(), 1);
         assert_eq!(unrouted, vec![a("fe80::1")]);
-    }
-
-    #[test]
-    fn group_by_asn() {
-        let t = table();
-        let grouped = t.group_by_asn([a("2001:db8::1"), a("2001:db8:f::1"), a("fe80::1")]);
-        assert_eq!(grouped[&64496].len(), 1);
-        assert_eq!(grouped[&64497].len(), 1);
-        assert_eq!(grouped.len(), 2);
     }
 
     #[test]

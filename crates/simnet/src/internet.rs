@@ -1,20 +1,19 @@
 //! [`Internet`]: the assembled ground-truth model — networks, routing, and
 //! seed extraction.
 //!
-//! Besides its BGP [`PrefixTable`], an `Internet` keeps the address space
-//! cut into disjoint spans, sorted by start, each owned by the network
-//! whose routed prefix is the longest match for every address in it (a
-//! nested prefix splits its parent into pieces). [`Internet::network_of`]
-//! finds an address's span by binary search, and a scan's sorted target
-//! list is resolved span by span, each run merged with its network's
-//! address-sorted host slice (DESIGN §7, "The §6 scan: ground truth in one
-//! ordered pass").
+//! An `Internet` builds its BGP [`PrefixTable`] in spec order, so route
+//! `i` of the table is network `i`. [`Internet::network_of`] is the
+//! table's longest-prefix match, and a scan's sorted target list is split
+//! into the table's runs of one longest match, each merged with its
+//! network's address-sorted host slice (DESIGN §7, "The §6 scan: ground
+//! truth in one ordered pass").
 
 use crate::network::{HostKind, Network, NetworkSpec};
 use rand::rngs::StdRng;
 use rand::Rng;
 use sixgen_addr::{NybbleAddr, Prefix};
 use sixgen_routing::{AsRegistry, PrefixTable};
+use std::collections::HashSet;
 use std::fmt;
 
 /// Why an [`Internet`] could not be assembled from its specs.
@@ -111,77 +110,9 @@ impl Default for SeedExtraction {
 #[derive(Debug)]
 pub struct Internet {
     networks: Vec<Network>,
+    /// Route `i` is network `i`'s routed prefix.
     table: PrefixTable,
     registry: AsRegistry,
-    /// The whole address space as disjoint spans sorted by start: span `i`
-    /// covers `spans[i].start` up to just before `spans[i + 1].start`
-    /// (the last one up to `ffff:…:ffff`), and the first starts at `::`.
-    spans: Vec<Span>,
-}
-
-/// A run of addresses with one longest-prefix match.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Span {
-    /// The span's first address.
-    start: u128,
-    /// Index into `networks` of the owning network; `None` is unrouted.
-    network: Option<usize>,
-}
-
-/// The first and last address of `prefix`.
-fn bounds(prefix: Prefix) -> (u128, u128) {
-    let first = prefix.network().bits();
-    (
-        first,
-        first | u128::MAX.checked_shr(u32::from(prefix.len())).unwrap_or(0),
-    )
-}
-
-/// Cuts the address space into disjoint spans by longest-prefix match
-/// over the networks' routed prefixes, which must be distinct. Any two
-/// prefixes are disjoint or nested, so a sweep in address order with a
-/// stack of the prefixes enclosing the sweep point finds every boundary:
-/// a prefix opens a span at its first address, and closing it reopens
-/// its innermost enclosing prefix (or unrouted space) after its last.
-fn cut_spans(networks: &[Network]) -> Vec<Span> {
-    /// Opens a span at `start`, replacing one opened at the same address.
-    fn open(spans: &mut Vec<Span>, start: u128, network: Option<usize>) {
-        let last = spans.last_mut().expect("the first span is never removed");
-        if last.start == start {
-            last.network = network;
-        } else {
-            spans.push(Span { start, network });
-        }
-    }
-
-    let prefix = |i: usize| networks[i].spec().prefix;
-    let mut order: Vec<usize> = (0..networks.len()).collect();
-    // Prefix order puts a prefix before the prefixes nested in it.
-    order.sort_unstable_by_key(|&i| prefix(i));
-    let mut spans = vec![Span {
-        start: 0,
-        network: None,
-    }];
-    let mut enclosing: Vec<usize> = Vec::new();
-    for i in order {
-        let (first, _) = bounds(prefix(i));
-        while let Some(&top) = enclosing.last() {
-            let (_, last) = bounds(prefix(top));
-            if last >= first {
-                break;
-            }
-            enclosing.pop();
-            open(&mut spans, last + 1, enclosing.last().copied());
-        }
-        open(&mut spans, first, Some(i));
-        enclosing.push(i);
-    }
-    while let Some(top) = enclosing.pop() {
-        if let Some(after) = bounds(prefix(top)).1.checked_add(1) {
-            open(&mut spans, after, enclosing.last().copied());
-        }
-    }
-    spans
 }
 
 impl Internet {
@@ -191,10 +122,10 @@ impl Internet {
     /// routed prefix longer than /64 and an aliased region outside its
     /// network are each a [`BuildError`].
     pub fn build(specs: Vec<NetworkSpec>, rng: &mut StdRng) -> Result<Internet, BuildError> {
-        let mut table = PrefixTable::new();
         let mut registry = AsRegistry::new();
+        let mut announced = HashSet::new();
         for spec in &specs {
-            if table.insert(spec.prefix, spec.asn).is_some() {
+            if !announced.insert(spec.prefix) {
                 return Err(BuildError::DuplicatePrefix(spec.prefix));
             }
             if spec.prefix.len() > 64 {
@@ -208,30 +139,21 @@ impl Internet {
             }
             registry.register(spec.asn, spec.name.clone());
         }
+        let table = PrefixTable::from_routes(specs.iter().map(|spec| (spec.prefix, spec.asn)));
         let networks: Vec<Network> = specs
             .into_iter()
             .map(|spec| Network::materialize(spec, rng))
             .collect();
-        let spans = cut_spans(&networks);
         Ok(Internet {
             networks,
             table,
             registry,
-            spans,
         })
-    }
-
-    /// The span containing `addr`.
-    fn span_of(&self, addr: NybbleAddr) -> usize {
-        // The first span starts at `::`, so the count is at least one.
-        self.spans.partition_point(|span| span.start <= addr.bits()) - 1
     }
 
     /// The network owning `addr`, by longest-prefix match.
     pub fn network_of(&self, addr: NybbleAddr) -> Option<&Network> {
-        self.spans[self.span_of(addr)]
-            .network
-            .map(|i| &self.networks[i])
+        self.table.route_index(addr).map(|i| &self.networks[i])
     }
 
     /// Ground truth: does `addr` respond on `port`?
@@ -241,27 +163,15 @@ impl Internet {
     }
 
     /// [`is_responsive`](Internet::is_responsive) of every address of a
-    /// sorted list, in its order: each span's run of addresses is merged
-    /// with its network's host slice.
+    /// sorted list, in its order: each run of addresses with one longest
+    /// match is merged with its network's host slice.
     pub(crate) fn responsive_sorted(&self, addrs: &[NybbleAddr], port: u16) -> Vec<bool> {
         let mut truth = Vec::with_capacity(addrs.len());
-        let mut rest = addrs;
-        let mut index = match rest.first() {
-            Some(&first) => self.span_of(first),
-            None => return truth,
-        };
-        while !rest.is_empty() {
-            let end = match self.spans.get(index + 1) {
-                Some(next) => rest.partition_point(|addr| addr.bits() < next.start),
-                None => rest.len(),
-            };
-            let (run, tail) = rest.split_at(end);
-            match self.spans[index].network {
+        for (route, run) in self.table.runs(addrs) {
+            match route {
                 Some(i) => self.networks[i].responsive_sorted(run, port, &mut truth),
                 None => truth.resize(truth.len() + run.len(), false),
             }
-            rest = tail;
-            index += 1;
         }
         truth
     }
@@ -528,11 +438,6 @@ mod tests {
         );
         assert_eq!(asn("2001:db9::"), Some(1));
         assert_eq!(asn("ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff"), Some(1));
-        // Starts strictly increase, and no two neighbours share an owner.
-        for pair in net.spans.windows(2) {
-            assert!(pair[0].start < pair[1].start);
-            assert_ne!(pair[0].network, pair[1].network);
-        }
     }
 
     #[test]

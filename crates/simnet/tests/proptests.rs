@@ -70,9 +70,11 @@ fn arb_len() -> impl Strategy<Value = u8> {
 
 /// A world whose routed prefixes nest often: prefix `i` keeps the top
 /// `draws[i].0` bits of `anchor`, draws the rest, and is `draws[i].2`
-/// bits long, so most prefixes cover the anchor or sit beside it.
+/// bits long, so most prefixes cover the anchor or sit beside it. The
+/// specs keep the draw order (a repeated prefix is dropped), so they are
+/// rarely sorted.
 fn nested_internet(anchor: u128, draws: &[(u8, u128, u8)], with_default: bool) -> Internet {
-    let mut prefixes: BTreeSet<Prefix> = draws
+    let mut prefixes: Vec<Prefix> = draws
         .iter()
         .map(|&(keep, noise, len)| {
             let bits = anchor ^ noise.checked_shr(u32::from(keep)).unwrap_or(0);
@@ -80,8 +82,10 @@ fn nested_internet(anchor: u128, draws: &[(u8, u128, u8)], with_default: bool) -
         })
         .collect();
     if with_default {
-        prefixes.insert(Prefix::DEFAULT);
+        prefixes.insert(prefixes.len() / 2, Prefix::DEFAULT);
     }
+    let mut seen = BTreeSet::new();
+    prefixes.retain(|&prefix| seen.insert(prefix));
     let specs = prefixes
         .into_iter()
         .enumerate()
@@ -101,12 +105,12 @@ fn nested_internet(anchor: u128, draws: &[(u8, u128, u8)], with_default: bool) -
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 
-    /// The span table names the network the BGP trie routes to, for
-    /// random addresses and at every prefix's edges. The default world
-    /// has no nested prefixes, so only this test reaches the splitting
-    /// path.
+    /// `network_of` names the network whose routed prefix is the longest
+    /// of those covering the address, found by a naive search over
+    /// `networks()`, for random addresses and at every prefix's edges:
+    /// route `i` of the BGP table is network `i`.
     #[test]
-    fn span_table_matches_the_trie(
+    fn network_of_matches_a_naive_longest_match(
         anchor in any::<u128>(),
         draws in prop::collection::vec((0u8..=64, any::<u128>(), arb_len()), 1..16),
         with_default in 0u8..2,
@@ -122,12 +126,14 @@ proptest! {
         }
         for bits in addrs {
             let addr = NybbleAddr::from_bits(bits);
-            prop_assert_eq!(
-                internet.network_of(addr).map(|n| n.spec().prefix),
-                internet.table().routed_prefix(addr),
-                "{}",
-                addr
-            );
+            let naive = internet
+                .networks()
+                .iter()
+                .map(|n| n.spec().prefix)
+                .filter(|prefix| prefix.contains(addr))
+                .max_by_key(|prefix| prefix.len());
+            prop_assert_eq!(internet.network_of(addr).map(|n| n.spec().prefix), naive, "{}", addr);
+            prop_assert_eq!(internet.table().routed_prefix(addr), naive, "{}", addr);
         }
     }
 }
