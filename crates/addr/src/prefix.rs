@@ -105,6 +105,17 @@ impl Prefix {
         Prefix::new(addr, len)
     }
 
+    /// A uniformly random address of the prefix: one `u128` draw fills
+    /// its host bits, and a /128, whose only address is its network,
+    /// draws nothing.
+    pub fn random_address<R: rand::Rng + ?Sized>(&self, rng: &mut R) -> NybbleAddr {
+        if self.len == 128 {
+            return self.network;
+        }
+        let noise: u128 = rng.gen();
+        NybbleAddr::from_bits(self.network.bits() | (noise & !Self::mask(self.len)))
+    }
+
     /// Converts to a [`Range`] if the length is nybble-aligned (a multiple
     /// of four bits); the dynamic tail nybbles become full wildcards.
     /// Returns `None` for non-aligned lengths, which cannot be represented
@@ -214,6 +225,30 @@ mod tests {
         assert_eq!(p("2001:db8::/96").size(), 1u128 << 32);
         assert_eq!(p("2001:db8::/64").size(), 1u128 << 64);
         assert_eq!(p("::/0").size(), u128::MAX);
+    }
+
+    /// One `u128` draw masked to the host bits, and none at /128: the
+    /// stream alias detection and the §8 loop have always drawn.
+    #[test]
+    fn random_address_draws_one_masked_word() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(9);
+        for text in ["::/0", "2a00:8000::/17", "2001:db8::/96", "2001:db8::7/127"] {
+            let prefix = p(text);
+            for _ in 0..20 {
+                let mut twin = rng.clone();
+                let addr = prefix.random_address(&mut rng);
+                let host_mask = u128::MAX.checked_shr(u32::from(prefix.len())).unwrap_or(0);
+                let expected = prefix.network().bits() | (twin.gen::<u128>() & host_mask);
+                assert_eq!(addr.bits(), expected, "{text}");
+                assert!(prefix.contains(addr));
+                assert_eq!(rng.gen::<u64>(), twin.gen::<u64>(), "one draw");
+            }
+        }
+        let host = p("2001:db8::5/128");
+        let mut twin = rng.clone();
+        assert_eq!(host.random_address(&mut rng), a("2001:db8::5"));
+        assert_eq!(rng.gen::<u64>(), twin.gen::<u64>(), "no draw at /128");
     }
 
     #[test]

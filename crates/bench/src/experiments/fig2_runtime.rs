@@ -15,8 +15,9 @@ use sixgen_report::Series;
 
 /// Synthetic routed-prefix seed sets with hosting-provider structure:
 /// sequential low bytes spread over a few dozen subnets, plus a small
-/// random component.
-fn synthetic_seeds(count: usize, rng: &mut StdRng) -> Vec<NybbleAddr> {
+/// random component. The performance trajectory's ladder draws the same
+/// seeds.
+pub(crate) fn synthetic_seeds(count: usize, rng: &mut StdRng) -> Vec<NybbleAddr> {
     (0..count)
         .map(|i| {
             let subnet = (i % 48) as u128;

@@ -28,6 +28,7 @@
 //! the *shape* (scaling curve, relative throughput) and gives CI a single
 //! artifact to archive per run.
 
+use super::experiments::fig2_runtime::synthetic_seeds;
 use super::experiments::ExperimentOptions;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -289,25 +290,6 @@ impl Trajectory {
         out.push_str("}\n");
         out
     }
-}
-
-/// Synthetic hosting-provider seeds (same structure as the Figure 2
-/// corpus: sequential low bytes over a few dozen subnets plus noise).
-fn synthetic_seeds(count: usize, rng: &mut StdRng) -> Vec<NybbleAddr> {
-    (0..count)
-        .map(|i| {
-            let subnet = (i % 48) as u128;
-            let structured = (i / 48 + 1) as u128;
-            let noise: u128 = if i % 7 == 0 {
-                rng.gen::<u16>() as u128
-            } else {
-                0
-            };
-            NybbleAddr::from_bits(
-                (0x2600_3c00u128 << 96) | (subnet << 64) | structured | noise << 16,
-            )
-        })
-        .collect()
 }
 
 fn median(mut values: Vec<f64>) -> f64 {

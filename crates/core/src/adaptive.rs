@@ -281,7 +281,7 @@ pub fn adaptive_scan(
         // outright — no packet is worth sending there.
         if aliased_prefixes
             .iter()
-            .any(|p| p.contains(new_range.min_address()) && range_within_prefix(&new_range, p))
+            .any(|p| range_within_prefix(&new_range, p))
         {
             slots[grown_index].0 = Cluster {
                 range: new_range.clone(),
@@ -476,11 +476,7 @@ fn scan_region(
 /// the range's extremes; a rectangle is inside a prefix iff its minimum
 /// and maximum are).
 fn range_within_prefix(range: &Range, prefix: &Prefix) -> bool {
-    let size = range.size();
-    if size == u128::MAX {
-        return prefix.len() == 0;
-    }
-    prefix.contains(range.min_address()) && prefix.contains(range.nth(size - 1))
+    prefix.contains(range.min_address()) && prefix.contains(range.max_address())
 }
 
 /// A random address inside `prefix` outside `probed`, or `None` when 64
@@ -490,22 +486,9 @@ fn random_in_prefix(
     rng: &mut StdRng,
     probed: &HashSet<NybbleAddr>,
 ) -> Option<NybbleAddr> {
-    use rand::Rng;
-    let host_bits = 128 - prefix.len() as u32;
-    for _ in 0..64 {
-        let noise: u128 = if host_bits == 0 {
-            0
-        } else if host_bits >= 128 {
-            rng.gen()
-        } else {
-            rng.gen::<u128>() & ((1u128 << host_bits) - 1)
-        };
-        let addr = NybbleAddr::from_bits(prefix.network().bits() | noise);
-        if !probed.contains(&addr) {
-            return Some(addr);
-        }
-    }
-    None
+    (0..64)
+        .map(|_| prefix.random_address(rng))
+        .find(|addr| !probed.contains(addr))
 }
 
 #[cfg(test)]

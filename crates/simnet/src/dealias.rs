@@ -12,7 +12,6 @@
 //! This module implements that detector at any prefix granularity (the
 //! paper also manually inspected /112s for two ASes), plus hit filtering.
 
-use crate::network::random_addr_in_prefix;
 use crate::prober::Prober;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -100,7 +99,7 @@ pub fn detect_aliased(
     for (&prefix, _) in prefixes.iter() {
         let mut all_responded = true;
         for _ in 0..cfg.addresses_per_prefix {
-            let addr = random_addr_in_prefix(prefix, &mut rng);
+            let addr = prefix.random_address(&mut rng);
             if !prober.probe_attempts(addr, port, cfg.probes_per_address) {
                 all_responded = false;
                 // A real pipeline still probes the remaining addresses of a

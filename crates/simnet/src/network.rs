@@ -320,19 +320,6 @@ impl Network {
     }
 }
 
-/// A deterministic set of distinct addresses drawn from `prefix`.
-pub(crate) fn random_addr_in_prefix(prefix: Prefix, rng: &mut StdRng) -> NybbleAddr {
-    let host_bits = 128 - prefix.len() as u32;
-    let noise: u128 = if host_bits == 0 {
-        0
-    } else if host_bits >= 128 {
-        rng.gen::<u128>()
-    } else {
-        rng.gen::<u128>() & ((1u128 << host_bits) - 1)
-    };
-    NybbleAddr::from_bits(prefix.network().bits() | noise)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -529,7 +516,7 @@ mod tests {
         for text in ["2001:db8::/96", "2001:db8::/112", "::/0", "2001:db8::1/128"] {
             let prefix = p(text);
             for _ in 0..20 {
-                assert!(prefix.contains(random_addr_in_prefix(prefix, &mut r)));
+                assert!(prefix.contains(prefix.random_address(&mut r)));
             }
         }
     }
