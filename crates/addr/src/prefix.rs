@@ -227,8 +227,8 @@ mod tests {
         assert_eq!(p("::/0").size(), u128::MAX);
     }
 
-    /// One `u128` draw masked to the host bits, and none at /128: the
-    /// stream alias detection and the §8 loop have always drawn.
+    /// One `u128` draw masked to the host bits, and none at /128: alias
+    /// detection's and the §8 loop's verdicts depend on this stream.
     #[test]
     fn random_address_draws_one_masked_word() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -241,7 +241,6 @@ mod tests {
                 let host_mask = u128::MAX.checked_shr(u32::from(prefix.len())).unwrap_or(0);
                 let expected = prefix.network().bits() | (twin.gen::<u128>() & host_mask);
                 assert_eq!(addr.bits(), expected, "{text}");
-                assert!(prefix.contains(addr));
                 assert_eq!(rng.gen::<u64>(), twin.gen::<u64>(), "one draw");
             }
         }

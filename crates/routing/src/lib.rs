@@ -60,7 +60,7 @@ pub struct PrefixTable {
 }
 
 /// A run of addresses with one longest-prefix match.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 struct Span {
     /// The span's first address.
     start: u128,
@@ -448,24 +448,36 @@ mod tests {
     #[test]
     fn runs_span_a_nested_route_they_skip() {
         let t = nested();
-        let addrs: Vec<NybbleAddr> = [
+        let addrs = |texts: &[&str]| texts.iter().map(|s| a(s)).collect::<Vec<_>>();
+        let runs = |list: &[NybbleAddr]| -> Vec<(Option<usize>, usize)> {
+            t.runs(list).map(|(route, run)| (route, run.len())).collect()
+        };
+        // The default route on both sides of the /32, nothing inside it.
+        let outside = addrs(&["::1", "2001:db7::", "2001:db9::", "fe80::1"]);
+        assert_eq!(runs(&outside), vec![(Some(1), 4)]);
+        let across = addrs(&[
             "::1",
             "2001:db8::1",
             "2001:db8::2",
-            // Inside the /32 on both sides of the /48, none inside it.
-            "2001:db8:ffff::1",
-            "2001:db8:ffff::2",
+            "2001:db8:0:1::5",
+            "2001:db8:0:2::",
+            "2001:db8:1::",
             "2001:db9::",
-        ]
-        .iter()
-        .map(|s| a(s))
-        .collect();
-        let runs: Vec<(Option<usize>, usize)> =
-            t.runs(&addrs).map(|(route, run)| (route, run.len())).collect();
-        assert_eq!(runs, vec![(Some(1), 1), (Some(3), 2), (Some(2), 2), (Some(1), 1)]);
-        assert_eq!(t.runs(&[]).count(), 0);
+        ]);
+        assert_eq!(
+            runs(&across),
+            vec![
+                (Some(1), 1),
+                (Some(3), 2),
+                (Some(0), 1),
+                (Some(3), 1),
+                (Some(2), 1),
+                (Some(1), 1)
+            ]
+        );
+        assert!(runs(&[]).is_empty());
         let empty = PrefixTable::new();
-        assert_eq!(empty.runs(&addrs).collect::<Vec<_>>(), vec![(None, &addrs[..])]);
+        assert_eq!(empty.runs(&across).collect::<Vec<_>>(), vec![(None, &across[..])]);
     }
 
     #[test]

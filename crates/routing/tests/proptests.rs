@@ -64,7 +64,7 @@ proptest! {
     /// position with its last origin, and every lookup, at random
     /// addresses and at every prefix's edges, is the naive longest match.
     #[test]
-    fn lookup_matches_naive_scan(
+    fn trie_matches_naive_scan(
         anchor in any::<u128>(),
         draws in prop::collection::vec((arb_draw(), any::<u32>()), 1..40),
         repeats in prop::collection::vec((any::<usize>(), any::<u32>()), 0..8),

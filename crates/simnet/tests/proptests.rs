@@ -110,7 +110,7 @@ proptest! {
     /// `networks()`, for random addresses and at every prefix's edges:
     /// route `i` of the BGP table is network `i`.
     #[test]
-    fn network_of_matches_a_naive_longest_match(
+    fn span_table_matches_the_trie(
         anchor in any::<u128>(),
         draws in prop::collection::vec((0u8..=64, any::<u128>(), arb_len()), 1..16),
         with_default in 0u8..2,
