@@ -386,7 +386,12 @@ mod tests {
         let t = table_with(&[("::/0", 1)]);
         assert_eq!(t.lookup(a("fe80::1")).unwrap().asn, 1);
         assert_eq!(t.lookup(a("::")).unwrap().asn, 1);
-        assert_eq!(t.lookup(a("ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff")).unwrap().asn, 1);
+        assert_eq!(
+            t.lookup(a("ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff"))
+                .unwrap()
+                .asn,
+            1
+        );
         // More specific still wins.
         assert_eq!(t.lookup(a("2001:db8::1")).unwrap().asn, 64496);
     }
@@ -428,11 +433,23 @@ mod tests {
         let t = nested();
         let asn = |s: &str| t.lookup(a(s)).map(|e| e.asn);
         assert_eq!(asn("2001:db7:ffff:ffff:ffff:ffff:ffff:ffff"), Some(1));
-        assert_eq!(asn("2001:db8::"), Some(3), "the /48 starts where the /32 does");
+        assert_eq!(
+            asn("2001:db8::"),
+            Some(3),
+            "the /48 starts where the /32 does"
+        );
         assert_eq!(asn("2001:db8:0:1::"), Some(4));
         assert_eq!(asn("2001:db8:0:1:ffff:ffff:ffff:ffff"), Some(4));
-        assert_eq!(asn("2001:db8:0:2::"), Some(3), "the /48 resumes after the /64");
-        assert_eq!(asn("2001:db8:1::"), Some(2), "the /32 resumes after the /48");
+        assert_eq!(
+            asn("2001:db8:0:2::"),
+            Some(3),
+            "the /48 resumes after the /64"
+        );
+        assert_eq!(
+            asn("2001:db8:1::"),
+            Some(2),
+            "the /32 resumes after the /48"
+        );
         assert_eq!(asn("2001:db9::"), Some(1));
         // Spans: starts strictly increase, the first is `::`, and no two
         // neighbours share a route.
@@ -450,7 +467,9 @@ mod tests {
         let t = nested();
         let addrs = |texts: &[&str]| texts.iter().map(|s| a(s)).collect::<Vec<_>>();
         let runs = |list: &[NybbleAddr]| -> Vec<(Option<usize>, usize)> {
-            t.runs(list).map(|(route, run)| (route, run.len())).collect()
+            t.runs(list)
+                .map(|(route, run)| (route, run.len()))
+                .collect()
         };
         // The default route on both sides of the /32, nothing inside it.
         let outside = addrs(&["::1", "2001:db7::", "2001:db9::", "fe80::1"]);
@@ -477,7 +496,10 @@ mod tests {
         );
         assert!(runs(&[]).is_empty());
         let empty = PrefixTable::new();
-        assert_eq!(empty.runs(&across).collect::<Vec<_>>(), vec![(None, &across[..])]);
+        assert_eq!(
+            empty.runs(&across).collect::<Vec<_>>(),
+            vec![(None, &across[..])]
+        );
     }
 
     #[test]

@@ -42,7 +42,10 @@ fn probe_addrs(table: &PrefixTable, anchor: u128, probes: &[u128]) -> Vec<Nybble
     addrs.extend(probes.iter().map(|noise| anchor ^ noise >> 64));
     for route in table.iter() {
         let first = route.prefix.network().bits();
-        let last = first | u128::MAX.checked_shr(u32::from(route.prefix.len())).unwrap_or(0);
+        let last = first
+            | u128::MAX
+                .checked_shr(u32::from(route.prefix.len()))
+                .unwrap_or(0);
         addrs.extend([first, last, last.wrapping_add(1), first.wrapping_sub(1)]);
     }
     addrs.into_iter().map(NybbleAddr::from_bits).collect()
