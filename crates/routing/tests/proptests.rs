@@ -103,17 +103,23 @@ proptest! {
 
     /// The run splitter cuts a sorted list into runs whose addresses each
     /// have the run's longest match, that join back into the list, and
-    /// that are maximal: no two neighbouring runs share a match.
+    /// that are maximal: no two neighbouring runs share a match, also
+    /// where the list skips every address of one route, so that its
+    /// parent's addresses on either side must form one run.
     #[test]
     fn runs_match_lookups_and_are_maximal(
         anchor in any::<u128>(),
         draws in prop::collection::vec(arb_draw(), 0..24),
         probes in prop::collection::vec(any::<u128>(), 0..64),
+        skipped in any::<usize>(),
     ) {
         let table = PrefixTable::from_routes(
             draws.iter().enumerate().map(|(i, &draw)| (around(anchor, draw), i as u32)),
         );
         let mut addrs = probe_addrs(&table, anchor, &probes);
+        if let Some(skip) = table.iter().nth(skipped % draws.len().max(1)) {
+            addrs.retain(|&addr| !skip.prefix.contains(addr));
+        }
         addrs.sort_unstable();
         let runs: Vec<(Option<usize>, &[NybbleAddr])> = table.runs(&addrs).collect();
         let joined: Vec<NybbleAddr> = runs.iter().flat_map(|(_, run)| run.iter().copied()).collect();
